@@ -2,7 +2,9 @@
 
 A maximal subgroup is the kernel of a nonzero linear form, one per point of
 the projective space of the dual; restriction is the algebra map that kills
-that form.  The essential classes of one degree are the joint kernel of all
+that form, i.e. the linear substitution x_pivot -> -sum_{i != pivot} form_i x_i
+(a_pivot likewise) at the form's leading coordinate, where form_pivot = 1.
+The essential classes of one degree are the joint kernel of all
 restrictions, computed from scratch with exact linear algebra.
 """
 
@@ -12,6 +14,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
+from operator import add
 
 from . import field
 from .algebra import Element, Ring, ZERO, _element
@@ -84,53 +87,77 @@ def maximal_subgroups(ring: Ring) -> tuple[MaximalSubgroup, ...]:
     )
 
 
-@lru_cache(maxsize=None)
-def _generator_images(H: MaximalSubgroup) -> tuple[tuple[Element, ...], tuple[Element, ...]]:
+def _column_image(H: MaximalSubgroup, col: int, gen) -> Element:
+    """Image of generator col + 1 under restriction, read from column col of
+    H.matrix; gen is the subring's x or a."""
+    out = H.subring.zero()
+    for t, row in enumerate(H.matrix):
+        if row[col]:
+            out = out + gen(t + 1) * row[col]
+    return out
+
+
+def _pivot_power(H: MaximalSubgroup, pivot: int, e: int) -> tuple:
+    """Image of x_pivot^e as (exponent vector, coefficient) pairs."""
+    img = _column_image(H, pivot, H.subring.x) ** e
+    return tuple((pows, c) for (_, pows), c in img.terms.items())
+
+
+def _exterior_image(H: MaximalSubgroup, ext: tuple[int, ...]) -> tuple:
+    """Image of the exterior monomial a_ext as (index tuple, coefficient)
+    pairs; the ordered product carries the Koszul signs."""
     sub = H.subring
-    p, n = H.ring.p, H.ring.n
-    a_imgs = []
-    x_imgs = []
-    for i in range(n):
-        a_img = sub.zero()
-        x_img = sub.zero()
-        for t in range(n - 1):
-            c = H.matrix[t][i]
-            if c:
-                if not sub.mod2:
-                    a_img = a_img + sub.a(t + 1) * c
-                x_img = x_img + sub.x(t + 1) * c
-        a_imgs.append(a_img)
-        x_imgs.append(x_img)
-    return tuple(a_imgs), tuple(x_imgs)
+    img = sub.one()
+    for i in ext:
+        img = img * _column_image(H, i - 1, sub.a)
+    return tuple((idx, c) for (idx, _), c in img.terms.items())
 
 
 @lru_cache(maxsize=None)
-def _restricted_power(H: MaximalSubgroup, i: int, e: int) -> Element:
-    return _generator_images(H)[1][i - 1] ** e
+def _substitution(H: MaximalSubgroup) -> tuple[int, dict, dict]:
+    """The eliminated coordinate of H, and two caches that restrict fills on
+    demand: pivot power images keyed by e, exterior images keyed by E.
+
+    The pivot is the column of H.matrix whose removal leaves the identity,
+    so that the other generators keep their order."""
+    n = H.ring.n
+    identity = [tuple(int(c == t) for c in range(n - 1)) for t in range(n - 1)]
+    if len(H.matrix) == n - 1:
+        for j in range(n):
+            if [row[:j] + row[j + 1:] for row in H.matrix] == identity:
+                return j, {}, {}
+    raise ValueError(f"restriction matrix of {H} is not an identity plus one column")
 
 
 def restrict(y: Element, H: MaximalSubgroup) -> Element:
-    """Image of y under restriction to H, over rank n-1."""
+    """Image of y under restriction to H, over rank n-1.
+
+    Restriction is the linear substitution x_pivot -> -sum_{i != pivot}
+    form_i x_i / form_pivot (a_pivot likewise), the other coordinates
+    renumbered in order.  Each term costs one shifted copy of the cached
+    image of its pivot power, times the cached image of its exterior part."""
     if (y.p, y.n) != (H.ring.p, H.ring.n):
         raise ValueError("element and subgroup live over different rings")
-    sub = H.subring
-    a_imgs, _ = _generator_images(H)
-    out = sub.zero()
+    j, powers, exteriors = _substitution(H)
+    acc: dict = {}
+    get = acc.get
     for (ext, pows), c in y.terms.items():
-        img = sub.scalar(c)
-        for idx in ext:
-            img = img * a_imgs[idx - 1]
-            if img.is_zero():
-                break
-        if img.is_zero():
+        ext_img = exteriors.get(ext)
+        if ext_img is None:
+            ext_img = exteriors[ext] = _exterior_image(H, ext)
+        if not ext_img:
             continue
-        for i, e in enumerate(pows, start=1):
-            if e:
-                img = img * _restricted_power(H, i, e)
-                if img.is_zero():
-                    break
-        out = out + img
-    return out
+        shifts = powers.get(pows[j])
+        if shifts is None:
+            shifts = powers[pows[j]] = _pivot_power(H, j, pows[j])
+        kept = pows[:j] + pows[j + 1:]
+        for shift, k in shifts:
+            mon = tuple(map(add, kept, shift))
+            ck = c * k
+            for idx, s in ext_img:
+                key = (idx, mon)
+                acc[key] = get(key, 0) + ck * s
+    return _element(y.p, y.n - 1, acc)
 
 
 def is_essential(y: Element) -> bool:

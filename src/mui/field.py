@@ -6,32 +6,37 @@ import math
 from functools import lru_cache
 
 
+# Miller-Rabin with the first 13 prime bases decides primality exactly below
+# this bound, the least strong pseudoprime to all of them (Sorenson and
+# Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; raises ValueError at or above the bound
+    below which the fixed bases are proven to decide primality."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    if p >= _MR_BOUND:
+        raise ValueError(f"primality of {p} is not decided exactly above {_MR_BOUND - 1}")
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
-
-
-def normalize(a: int, p: int) -> int:
-    """Canonical residue in [0, p)."""
-    return a % p
-
-
-def add(a: int, b: int, p: int) -> int:
-    return (a + b) % p
-
-
-def mul(a: int, b: int, p: int) -> int:
-    return (a * b) % p
-
-
-def neg(a: int, p: int) -> int:
-    return (-a) % p
 
 
 def inv(a: int, p: int) -> int:

@@ -5,12 +5,18 @@ its determinant L_n, its minors, the mixed determinants M_{n,s} obtained by
 replacing one power row with the exterior row (a_1 .. a_n), the subset
 invariants M_{n,S}, and the Dickson coefficients of the fundamental equation
 x^(p^n) = sum of lambda_r x^(p^r).
+
+The Dickson coefficients are Moore-determinant quotients (Dickson 1911;
+Wilkerson 1983): with D_r the determinant of the power rows p^0..p^n with
+row p^r left out, c_{n,r} = D_r / L_n exactly.  Expanding the (n+1) x (n+1)
+Moore determinant in a new column X gives
+prod over v in F_p^n of (X - v) = X^(p^n) + sum_{r<n} (-1)^(n-r) c_{n,r} X^(p^r),
+so lambda_r = (-1)^(n-r+1) c_{n,r}.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 
 from .algebra import Element, Ring
 
@@ -120,48 +126,20 @@ def complement_sign(ring: Ring, subset: tuple[int, ...]) -> int:
     )
 
 
-@lru_cache(maxsize=None)
-def _fundamental_poly(ring: Ring) -> tuple[tuple[int, Element], ...]:
-    """Coefficients of prod over all v in the dual space of (X - v), as
-    (X-exponent, coefficient) pairs.  Only p-power exponents may survive."""
-    n, p = ring.n, ring.p
-    coeffs: dict[int, Element] = {0: ring.one()}
-    for vec in product(range(p), repeat=n):
-        form = ring.zero()
-        for i, c in enumerate(vec, start=1):
-            if c:
-                form = form + ring.x(i) * c
-        new: dict[int, Element] = {}
-        for e, coef in coeffs.items():
-            new[e + 1] = new.get(e + 1, ring.zero()) + coef
-            if form:
-                new[e] = new.get(e, ring.zero()) - form * coef
-        coeffs = {e: c for e, c in new.items() if not c.is_zero()}
-    powers = {p**r for r in range(n + 1)}
-    stray = set(coeffs) - powers
-    if stray:
-        raise RuntimeError(f"fundamental equation has non-p-power exponents {stray}")
-    if coeffs.get(p**n) != ring.one():
-        raise RuntimeError("fundamental equation is not monic")
-    return tuple(sorted(coeffs.items()))
-
-
 def fundamental_coefficients(ring: Ring) -> tuple[Element, ...]:
-    """The lambda_r with x^(p^n) = sum_{r<n} lambda_r x^(p^r), read off the
-    expanded product (every dual vector is a root)."""
-    table = dict(_fundamental_poly(ring))
-    return tuple(
-        -table.get(ring.p**r, ring.zero()) for r in range(ring.n)
-    )
+    """The lambda_r with x^(p^n) = sum_{r<n} lambda_r x^(p^r):
+    lambda_r = (-1)^(n-r+1) c_{n,r}."""
+    return tuple(dickson(ring, r) * (-1) ** (ring.n - r + 1) for r in range(ring.n))
 
 
+@lru_cache(maxsize=None)
 def dickson(ring: Ring, r: int) -> Element:
-    """The Dickson invariant c_{n,r}, 0 <= r < n."""
+    """The Dickson invariant c_{n,r}, 0 <= r < n: the Moore determinant of
+    power rows p^0..p^n with row p^r left out, divided exactly by L_n."""
     if not 0 <= r < ring.n:
         raise ValueError(f"Dickson index {r} out of range 0..{ring.n - 1}")
-    table = dict(_fundamental_poly(ring))
-    coef = table.get(ring.p**r, ring.zero())
-    return coef if (ring.n - r) % 2 == 0 else -coef
+    rows = [s for s in range(1, ring.n + 2) if s != r + 1]
+    return det(_power_rows(ring, rows)).exact_divide(l_n(ring))
 
 
 def subset_degree(ring: Ring, subset: tuple[int, ...]) -> int:

@@ -16,8 +16,18 @@ import numpy as np
 from .algebra import Element, Monomial, Ring, term_key
 
 
+# Products of two residues must fit in int64: (p - 1)^2 < 2^63.
+MAX_PRIME = 2**31
+
+
+def _check_int64_prime(p: int) -> None:
+    if p >= MAX_PRIME:
+        raise ValueError(f"p = {p} is too large for int64 elimination (need p < 2^31)")
+
+
 def rref(mat: np.ndarray, p: int) -> np.ndarray:
     """Reduced row echelon form over F_p, zero rows dropped."""
+    _check_int64_prime(p)
     m = np.array(mat, dtype=np.int64) % p
     n_rows, n_cols = m.shape
     r = 0
@@ -237,6 +247,7 @@ class SpanBuilder:
     """Incrementally maintained RREF span, for worklist saturation."""
 
     def __init__(self, ambient_dim: int, p: int):
+        _check_int64_prime(p)
         self.p = p
         self.ambient_dim = ambient_dim
         self.rows: list[np.ndarray] = []

@@ -50,13 +50,23 @@ class ConfigError(ValueError):
     """Raised when a configuration exceeds the resource guard."""
 
 
+# lemma:eqnLn and the enumeration of maximal subgroups loop over all p^n
+# vectors of F_p^n; the cap also keeps p far below linalg.MAX_PRIME.
+MAX_AFFINE_POINTS = 10**6
 MAX_PROJECTIVE_POINTS = 4000
 MAX_BASIS_DIMENSION = 30000
 MAX_DEGREE = 200
 
 
 def check_resources(ring: Ring, max_degree: int) -> None:
-    """Reject configurations whose degreewise bases would be too large."""
+    """Reject configurations whose loops over F_p^n or degreewise bases
+    would be too large."""
+    # p^n >= 2^n, so a long exponent is refused before p^n is computed
+    if ring.n >= MAX_AFFINE_POINTS.bit_length() or ring.p**ring.n > MAX_AFFINE_POINTS:
+        raise ConfigError(
+            f"p={ring.p}, n={ring.n}: F_p^n has more than {MAX_AFFINE_POINTS} "
+            "vectors to loop over"
+        )
     points = (ring.p**ring.n - 1) // (ring.p - 1)
     if points > MAX_PROJECTIVE_POINTS:
         raise ConfigError(

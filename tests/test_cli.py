@@ -119,6 +119,22 @@ def test_verify_resource_guard(capsys):
     code, _, err = run_cli(capsys, "verify", "--p", "3", "--n", "9")
     assert code == 2
     assert "maximal subgroups" in err
+    # one maximal subgroup, but 8589934609 vectors in the eqnLn loop
+    code, _, err = run_cli(
+        capsys, "verify", "--p", "8589934609", "--n", "1", "--max-degree", "2"
+    )
+    assert code == 2
+    assert "F_p^n" in err
+
+
+def test_large_p_primality_returns(capsys):
+    # both need trial division up to ~10^9; Miller-Rabin answers at once
+    code, _, err = run_cli(capsys, "invariant", "L", "--p", "1000000000000000003", "--n", "1")
+    assert code == 2
+    assert "not prime" not in err and "F_p^n" in err
+    code, _, err = run_cli(capsys, "invariant", "L", "--p", "1000000016000000063", "--n", "1")
+    assert code == 2
+    assert "not prime" in err
 
 
 def test_verify_unknown_claim(capsys):

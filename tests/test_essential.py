@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from mui import (
     Ring,
@@ -22,7 +23,13 @@ from mui import (
 from mui.essential import MaximalSubgroup, proof_word, projective_forms
 from mui.linalg import left_null_space
 from mui.steenrod import apply_word
-from helpers import all_subsets, rand_element
+from helpers import (
+    all_subsets,
+    homogeneous_elements,
+    last_pivot_subgroup,
+    rand_element,
+    reference_restrict,
+)
 
 R32 = Ring(3, 2)
 R33 = Ring(3, 3)
@@ -144,17 +151,7 @@ def test_ess_basis_independent_of_complement_choice():
         basis = monomial_basis(ring, d)
         blocks = []
         for H in maximal_subgroups(ring):
-            form = H.form
-            pivot = max(i for i, c in enumerate(form) if c)
-            inv = pow(int(form[pivot]), -1, ring.p)
-            kept = [i for i in range(ring.n) if i != pivot]
-            rows = []
-            for i in kept:
-                row = [0] * ring.n
-                row[i] = 1
-                row[pivot] = (-form[i] * inv) % ring.p
-                rows.append(tuple(row))
-            alt = MaximalSubgroup(ring, form, tuple(rows))
+            alt = last_pivot_subgroup(H)
             cod = monomial_basis(alt.subring, d)
             block = np.zeros((len(basis), len(cod)), dtype=np.int64)
             for r, mon in enumerate(basis.monomials):
@@ -164,6 +161,22 @@ def test_ess_basis_independent_of_complement_choice():
             blocks.append(block)
         alt_kernel = left_null_space(np.hstack(blocks), ring.p)
         assert np.array_equal(alt_kernel, ess_basis(ring, d).rows)
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (3, 3), (5, 2), (2, 3)])
+@given(data=st.data())
+def test_restrict_matches_reference(p, n, data):
+    ring = Ring(p, n)
+    subs = maximal_subgroups(ring)
+    H = data.draw(st.sampled_from(subs + tuple(last_pivot_subgroup(h) for h in subs)))
+    y = data.draw(homogeneous_elements(ring))
+    assert restrict(y, H) == reference_restrict(y, H)
+
+
+def test_restrict_rejects_a_matrix_without_identity_columns():
+    H = MaximalSubgroup(R32, (1, 0), ((2, 0),))
+    with pytest.raises(ValueError):
+        restrict(R32.one(), H)
 
 
 def test_decompose_basis_elements():

@@ -14,11 +14,11 @@ def pascal_triangle(rows):
 
 
 def test_scalar_arithmetic():
-    assert field.mul(2, 2, 3) == 1
+    assert 2 * 2 % 3 == 1
     assert field.inv(2, 5) == 3
-    assert field.neg(1, 3) == 2
-    assert field.add(2, 2, 3) == 1
-    assert field.normalize(-1, 7) == 6
+    assert -1 % 3 == 2
+    assert (2 + 2) % 3 == 1
+    assert -1 % 7 == 6
 
 
 def test_inverse_of_zero_rejected():
@@ -31,7 +31,7 @@ def test_inverse_of_zero_rejected():
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_inverses_multiply_to_one(p):
     for a in range(1, p):
-        assert field.mul(a, field.inv(a, p), p) == 1
+        assert a * field.inv(a, p) % p == 1
 
 
 def test_binomial_examples():
@@ -56,3 +56,17 @@ def test_binomial_above_the_diagonal_vanishes(m, extra):
 
 def test_is_prime():
     assert [q for q in range(20) if field.is_prime(q)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+def test_is_prime_large():
+    # primes, a semiprime with two ten-digit factors (out of reach of trial
+    # division), a Carmichael number, and strong pseudoprimes to bases 2;
+    # 2..7; 2..23 (three factors); 2..37 (the last one needs base 41)
+    assert field.is_prime(8589934609)
+    assert field.is_prime(1000000000000000003)
+    assert field.is_prime(2**61 - 1)
+    for composite in (1000000016000000063, 561, 2047, 3215031751,
+                      3825123056546413051, 318665857834031151167461):
+        assert not field.is_prime(composite)
+    with pytest.raises(ValueError):
+        field.is_prime(3317044064679887385961981)

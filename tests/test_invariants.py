@@ -14,7 +14,7 @@ from mui import (
     mui_set,
 )
 from mui.invariants import subset_degree
-from helpers import all_subsets
+from helpers import all_subsets, fundamental_product, reference_dickson
 
 R32 = Ring(3, 2)
 R33 = Ring(3, 3)
@@ -174,6 +174,18 @@ def test_fundamental_equation_kills_every_dual_vector(ring):
         for r, lam in enumerate(lams):
             rhs = rhs + lam * v ** (ring.p**r)
         assert v ** (ring.p**ring.n) == rhs
+
+
+@pytest.mark.parametrize(
+    "p,n", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 2)]
+)
+def test_dickson_matches_the_product_expansion(p, n):
+    ring = Ring(p, n)
+    expansion = fundamental_product(ring)
+    assert set(expansion) <= {p**r for r in range(n + 1)}
+    assert expansion[p**n] == ring.one()
+    for r in range(n):
+        assert dickson(ring, r) == reference_dickson(ring, r)
 
 
 def test_bottom_dickson_is_l_to_the_p_minus_1():

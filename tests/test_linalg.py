@@ -150,6 +150,19 @@ def test_rref_is_canonical():
         assert np.array_equal(rref(r, 3), r)
 
 
+def test_elimination_refuses_primes_that_overflow_int64():
+    # the largest admitted prime still reduces a nonsingular matrix exactly
+    p = 2**31 - 1
+    assert np.array_equal(rref(np.array([[2, 3], [5, 7]]), p), np.eye(2, dtype=np.int64))
+    builder = SpanBuilder(2, p)
+    assert builder.insert(np.array([p - 1, p - 2])) and builder.insert(np.array([3, p - 1]))
+    assert np.array_equal(builder.to_span(0).rows, np.eye(2, dtype=np.int64))
+    with pytest.raises(ValueError):
+        rref(np.array([[2, 3], [5, 7]]), 8589934609)
+    with pytest.raises(ValueError):
+        SpanBuilder(2, 8589934609)
+
+
 def test_left_null_space_annihilates():
     rng = np.random.default_rng(1)
     for _ in range(40):

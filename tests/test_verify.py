@@ -1,4 +1,6 @@
 import json
+import runpy
+from pathlib import Path
 
 import pytest
 
@@ -48,7 +50,23 @@ def test_resource_guard():
         check_resources(Ring(3, 9), 5)
     with pytest.raises(ConfigError):
         check_resources(R32, 10**6)
+    # one projective point, but p^n vectors in the loops over F_p^n
+    with pytest.raises(ConfigError):
+        check_resources(Ring(8589934609, 1), 2)
+    with pytest.raises(ConfigError):
+        check_resources(Ring(2, 10**9), 0)
     check_resources(R32, 20)
+
+
+def test_resource_guard_accepts_the_shipped_configurations():
+    root = Path(__file__).parents[1]
+    configs = list(runpy.run_path(str(root / "scripts" / "run_verification.py"))["CONFIGS"])
+    bench = runpy.run_path(str(root / "perfbench" / "workloads.py"))
+    configs += bench["VERIFY_CONFIGS"]
+    configs.append((*bench["ESS_RING"], max(bench["ESS_DEGREES"])))
+    configs.append((*bench["INVARIANT_RING"], 0))
+    for p, n, max_degree in configs:
+        check_resources(Ring(p, n), max_degree)
 
 
 def test_report_shape_and_json():
