@@ -3,7 +3,9 @@
 configurations and print a result table; optionally dump JSON reports.
 
 Usage:
-    python scripts/run_verification.py [--json reports.json] [--max-degree-scale N]
+    python scripts/run_verification.py [--json reports.json]
+
+Exits 1 when any report fails.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ the projective space of the dual; restriction is the algebra map that kills
 that form, i.e. the linear substitution x_pivot -> -sum_{i != pivot} form_i x_i
 (a_pivot likewise) at the form's leading coordinate, where form_pivot = 1.
 The essential classes of one degree are the joint kernel of all
-restrictions, computed from scratch with exact linear algebra.
+restrictions, computed with exact linear algebra one exterior rank at a time.
 """
 
 from __future__ import annotations
@@ -13,18 +13,18 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, groupby, product
 from operator import add
 
 from . import field
 from .algebra import Element, Ring, ZERO, _element
 from .invariants import complement_sign, l_n, mui_set
 from .linalg import (
+    DegreeBasis,
     DegreeSpan,
     SpanBuilder,
-    left_null_space,
+    kernel_of_map,
     monomial_basis,
-    rref,
     zero_span,
 )
 from .steenrod import bockstein, power_op
@@ -167,53 +167,30 @@ def is_essential(y: Element) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _restriction_block(ring: Ring, degree: int):
-    """Stacked coordinate matrix of all restriction maps on one degree."""
+def _ess_data(ring: Ring, degree: int):
+    """(kernel span, {exterior rank: kernel span}) of all restrictions on one
+    degree, both in the coordinates of the whole degree.
+
+    Restriction preserves exterior rank, so the joint kernel is computed once
+    per rank.  Each rank is a contiguous run of the basis, and the runs come
+    in basis order, so stacking the pieces in that order is already the RREF
+    of the whole kernel."""
     basis = monomial_basis(ring, degree)
     subs = maximal_subgroups(ring)
-    blocks = []
-    for H in subs:
-        cod = monomial_basis(H.subring, degree)
-        A = np.zeros((len(basis), len(cod)), dtype=np.int64)
-        for row, mon in enumerate(basis.monomials):
-            img = restrict(Element(ring.p, ring.n, {tuple(mon): 1}), H)
-            if not img.is_zero():
-                A[row] = cod.coords(img)
-        blocks.append(A)
-    return np.hstack(blocks) if blocks else np.zeros((len(basis), 0), dtype=np.int64)
-
-
-@lru_cache(maxsize=None)
-def _ess_data(ring: Ring, degree: int):
-    """(full kernel span, {exterior rank: kernel span embedded in the full
-    coordinates}); asserts that the rank pieces sum to the full kernel."""
-    basis = monomial_basis(ring, degree)
-    dim = len(basis)
-    p = ring.p
-    stacked = _restriction_block(ring, degree)
-    full = DegreeSpan(p, degree, left_null_space(stacked, p))
-    ranks = {len(mon.ext) for mon in basis.monomials}
-    if len(ranks) == 1:
-        # single exterior rank in this degree: the split is the whole kernel
-        return full, {ranks.pop(): full}
     by_rank: dict[int, DegreeSpan] = {}
-    assembled = []
-    for r in sorted(ranks):
-        idx = [i for i, mon in enumerate(basis.monomials) if len(mon.ext) == r]
-        sub_kernel = left_null_space(stacked[idx], p)
-        rows = np.zeros((sub_kernel.shape[0], dim), dtype=np.int64)
-        rows[:, idx] = sub_kernel
-        by_rank[r] = DegreeSpan(p, degree, rows)
-        assembled.extend(rows)
-    if assembled:
-        recombined = rref(np.array(assembled), p)
-    else:
-        recombined = np.zeros((0, dim), dtype=np.int64)
-    if not (recombined.shape == full.rows.shape and np.array_equal(recombined, full.rows)):
-        raise RuntimeError(
-            f"essential classes of degree {degree} do not split by exterior rank"
+    full = np.zeros((0, len(basis)), dtype=np.int64)
+    for r, run in groupby(basis.monomials, key=lambda mon: len(mon.ext)):
+        mons = tuple(run)
+        gens = [Element(ring.p, ring.n, {tuple(mon): 1}) for mon in mons]
+        kernel = kernel_of_map(
+            DegreeBasis(ring, degree, mons), *([restrict(y, H) for y in gens] for H in subs)
         )
-    return full, by_rank
+        rows = np.zeros((kernel.dim, len(basis)), dtype=np.int64)
+        start = basis.index_of(mons[0])
+        rows[:, start:start + len(mons)] = kernel.rows
+        by_rank[r] = DegreeSpan(ring.p, degree, rows)
+        full = np.vstack([full, rows])
+    return DegreeSpan(ring.p, degree, full), by_rank
 
 
 def ess_basis(ring: Ring, degree: int) -> DegreeSpan:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -52,24 +52,41 @@ def rref(mat: np.ndarray, p: int) -> np.ndarray:
     return m[:r]
 
 
+def _pivots(rows: np.ndarray) -> np.ndarray:
+    """Column of the leading entry of each row of a matrix with no zero row."""
+    row, col = np.nonzero(rows)
+    return col[np.unique(row, return_index=True)[1]]
+
+
 def null_space(mat: np.ndarray, p: int) -> np.ndarray:
     """RREF basis of {v : mat @ v = 0 mod p}."""
     mat = np.asarray(mat, dtype=np.int64)
-    n_cols = mat.shape[1]
     reduced = rref(mat, p)
-    pivots = [int(np.nonzero(row)[0][0]) for row in reduced]
-    free = [c for c in range(n_cols) if c not in pivots]
-    basis = np.zeros((len(free), n_cols), dtype=np.int64)
-    for k, f in enumerate(free):
-        basis[k, f] = 1
-        for i, c in enumerate(pivots):
-            basis[k, c] = (-reduced[i, f]) % p
+    pivots = _pivots(reduced)
+    free = np.ones(mat.shape[1], dtype=bool)
+    free[pivots] = False
+    free = np.flatnonzero(free)
+    basis = np.zeros((len(free), mat.shape[1]), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = -reduced[:, free].T % p
+    # row k carries -reduced[:, f] (f = free[k]) on pivot columns left of f,
+    # so its leading entry is not at f and the basis needs its own RREF
     return rref(basis, p)
 
 
 def left_null_space(mat: np.ndarray, p: int) -> np.ndarray:
     """RREF basis of {v : v @ mat = 0 mod p}."""
     return null_space(np.asarray(mat).T, p)
+
+
+def _reduce(vec: np.ndarray, rows, pivots, p: int) -> np.ndarray:
+    """vec minus its components along the RREF rows with the given pivots."""
+    v = np.array(vec, dtype=np.int64) % p
+    for piv, row in zip(pivots, rows):
+        c = v[piv]
+        if c:
+            v = (v - c * row) % p
+    return v
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,16 +115,12 @@ class DegreeSpan:
             and np.array_equal(self.rows, other.rows)
         )
 
-    def reduce_vector(self, vec: np.ndarray) -> np.ndarray:
-        v = np.array(vec, dtype=np.int64) % self.p
-        for row in self.rows:
-            c = v[int(np.nonzero(row)[0][0])]
-            if c:
-                v = (v - c * row) % self.p
-        return v
+    @cached_property
+    def pivots(self) -> np.ndarray:
+        return _pivots(self.rows)
 
     def contains_vector(self, vec: np.ndarray) -> bool:
-        return not self.reduce_vector(vec).any()
+        return not _reduce(vec, self.rows, self.pivots, self.p).any()
 
     def __repr__(self):
         return f"DegreeSpan(p={self.p}, degree={self.degree}, dim={self.dim}/{self.ambient_dim})"
@@ -119,7 +132,8 @@ def zero_span(p: int, degree: int, ambient_dim: int) -> DegreeSpan:
 
 @dataclass(frozen=True)
 class DegreeBasis:
-    """All monomials of one total degree, in the canonical term order."""
+    """Monomials of one total degree, in the canonical term order: all of
+    them from monomial_basis, or a contiguous run of one exterior rank."""
 
     ring: Ring
     degree: int
@@ -224,23 +238,27 @@ def span_of(ring: Ring, degree: int, elements) -> DegreeSpan:
     return DegreeSpan(ring.p, degree, rref(np.array(rows), ring.p))
 
 
-def kernel_of_map(domain: DegreeBasis, images: list[Element]) -> DegreeSpan:
-    """Kernel of the linear map sending domain.monomials[i] to images[i],
-    expressed in domain coordinates."""
-    if len(images) != len(domain):
-        raise ValueError("one image per domain monomial required")
-    p = domain.ring.p
-    nonzero = [y for y in images if not y.is_zero()]
-    if not nonzero:
-        eye = np.eye(len(domain), dtype=np.int64)
-        return DegreeSpan(p, domain.degree, eye)
-    degrees = {y.total_degree() for y in nonzero}
-    rings = {(y.p, y.n) for y in nonzero}
-    if len(degrees) > 1 or len(rings) > 1:
-        raise ValueError("images must be homogeneous of one common degree")
-    cod = monomial_basis(Ring(*rings.pop()), degrees.pop())
-    mat = np.array([cod.coords(y) for y in images], dtype=np.int64)
-    return DegreeSpan(p, domain.degree, left_null_space(mat, p))
+def kernel_of_map(domain: DegreeBasis, *maps) -> DegreeSpan:
+    """Joint kernel of linear maps on one graded piece, in domain coordinates.
+
+    Each map is given by the images of domain.monomials, in order.  The
+    matrix has one column per (map, codomain monomial) pair that occurs in
+    some image, so no codomain basis is enumerated; with no nonzero image
+    the kernel is the whole domain."""
+    columns: dict = {}
+    cols, rows, vals = [], [], []
+    for k, images in enumerate(maps):
+        if len(images) != len(domain):
+            raise ValueError("one image per domain monomial required")
+        for i, y in enumerate(images):
+            for mon, c in y.terms.items():
+                cols.append(columns.setdefault((k, mon), len(columns)))
+                rows.append(i)
+                vals.append(c)
+    # built transposed: the kernel is the null space of the image matrix
+    mat = np.zeros((len(columns), len(domain)), dtype=np.int64)
+    mat[cols, rows] = vals
+    return DegreeSpan(domain.ring.p, domain.degree, null_space(mat, domain.ring.p))
 
 
 class SpanBuilder:
@@ -257,20 +275,9 @@ class SpanBuilder:
     def dim(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vec: np.ndarray) -> np.ndarray:
-        v = np.array(vec, dtype=np.int64) % self.p
-        for piv, row in zip(self.pivots, self.rows):
-            c = v[piv]
-            if c:
-                v = (v - c * row) % self.p
-        return v
-
-    def contains(self, vec: np.ndarray) -> bool:
-        return not self.reduce(vec).any()
-
     def insert(self, vec: np.ndarray) -> bool:
         """Add a vector; True when it enlarged the span."""
-        v = self.reduce(vec)
+        v = _reduce(vec, self.rows, self.pivots, self.p)
         support = np.nonzero(v)[0]
         if not len(support):
             return False

@@ -38,7 +38,7 @@ from .invariants import (
 from .linalg import (
     DegreeSpan,
     basis_dimension,
-    left_null_space,
+    kernel_of_map,
     monomial_basis,
     span_of,
     zero_span,
@@ -298,18 +298,8 @@ def _check_mnst(ring: Ring, max_degree: int) -> list[Case]:
 def _joint_annihilator(ring: Ring, d: int, subsets: list[tuple[int, ...]]) -> DegreeSpan:
     """Kernel of y -> (y * M_S)_S on the degree-d basis."""
     basis = monomial_basis(ring, d)
-    blocks = []
-    for subset in subsets:
-        m = mui_set(ring, subset)
-        target = d + m.total_degree()
-        cod = monomial_basis(ring, target)
-        A = np.zeros((len(basis), len(cod)), dtype=np.int64)
-        for row, mon in enumerate(basis.monomials):
-            prod = Element(ring.p, ring.n, {tuple(mon): 1}) * m
-            if not prod.is_zero():
-                A[row] = cod.coords(prod)
-        blocks.append(A)
-    return DegreeSpan(ring.p, d, left_null_space(np.hstack(blocks), ring.p))
+    gens = [Element(ring.p, ring.n, {tuple(mon): 1}) for mon in basis.monomials]
+    return kernel_of_map(basis, *([y * mui_set(ring, s) for y in gens] for s in subsets))
 
 
 def _high_rank_span(ring: Ring, d: int, min_rank: int) -> DegreeSpan:

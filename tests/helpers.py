@@ -8,11 +8,12 @@ import time
 from contextlib import contextmanager
 from itertools import combinations, product
 
+import numpy as np
 from hypothesis import strategies as st
 
 from mui import Element, Ring
 from mui.essential import MaximalSubgroup
-from mui.linalg import monomial_basis
+from mui.linalg import left_null_space, monomial_basis
 
 
 def rand_element(ring: Ring, rng: random.Random, max_terms: int = 4,
@@ -186,3 +187,20 @@ def last_pivot_subgroup(H: MaximalSubgroup) -> MaximalSubgroup:
             row[pivot] = (-form[i] * inv) % ring.p
             rows.append(tuple(row))
     return MaximalSubgroup(ring, form, tuple(rows))
+
+
+def reference_ess_basis(ring: Ring, d: int, subgroups) -> np.ndarray:
+    """Reference for ess_basis: one dense block per subgroup over the whole
+    codomain basis, filled by reference_restrict, and one left kernel of the
+    stack of all blocks."""
+    basis = monomial_basis(ring, d)
+    blocks = []
+    for H in subgroups:
+        cod = monomial_basis(H.subring, d)
+        block = np.zeros((len(basis), len(cod)), dtype=np.int64)
+        for r, mon in enumerate(basis.monomials):
+            img = reference_restrict(ring.monomial(mon.ext, mon.pows), H)
+            if img:
+                block[r] = cod.coords(img)
+        blocks.append(block)
+    return left_null_space(np.hstack(blocks), ring.p)

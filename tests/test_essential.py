@@ -21,13 +21,13 @@ from mui import (
     steenrod_closure,
 )
 from mui.essential import MaximalSubgroup, proof_word, projective_forms
-from mui.linalg import left_null_space
 from mui.steenrod import apply_word
 from helpers import (
     all_subsets,
     homogeneous_elements,
     last_pivot_subgroup,
     rand_element,
+    reference_ess_basis,
     reference_restrict,
 )
 
@@ -143,24 +143,36 @@ def test_ess_dimensions_match_free_module_counts():
                 assert actual == predicted, (ring, d, r)
 
 
+@pytest.mark.parametrize("p,n,top", [(3, 2, 10), (5, 2, 10), (3, 3, 12)])
+def test_ess_basis_matches_dense_reference(p, n, top):
+    # at (3,3) most degrees mix exterior ranks, so the per-rank kernels and
+    # their pivot-ordered union are checked against one full kernel
+    ring = Ring(p, n)
+    for d in range(top + 1):
+        expected = reference_ess_basis(ring, d, maximal_subgroups(ring))
+        assert np.array_equal(expected, ess_basis(ring, d).rows), (p, n, d)
+
+
 def test_ess_basis_independent_of_complement_choice():
     # an alternative restriction matrix (pivot solved from the last nonzero
     # coordinate) must produce the same joint kernel
-    ring = R32
-    for d in range(1, 8):
-        basis = monomial_basis(ring, d)
-        blocks = []
-        for H in maximal_subgroups(ring):
-            alt = last_pivot_subgroup(H)
-            cod = monomial_basis(alt.subring, d)
-            block = np.zeros((len(basis), len(cod)), dtype=np.int64)
-            for r, mon in enumerate(basis.monomials):
-                img = restrict(ring.monomial(mon.ext, mon.pows), alt)
-                if img:
-                    block[r] = cod.coords(img)
-            blocks.append(block)
-        alt_kernel = left_null_space(np.hstack(blocks), ring.p)
-        assert np.array_equal(alt_kernel, ess_basis(ring, d).rows)
+    for ring, top in ((R32, 10), (R33, 12)):
+        alt = [last_pivot_subgroup(H) for H in maximal_subgroups(ring)]
+        for d in range(1, top + 1):
+            assert np.array_equal(reference_ess_basis(ring, d, alt), ess_basis(ring, d).rows)
+
+
+@pytest.mark.parametrize("p,n,top", [(3, 2, 10), (3, 3, 10), (5, 2, 8), (5, 3, 6)])
+def test_restriction_preserves_exterior_rank(p, n, top):
+    # the rank split of ess_basis rests on this: every restricted image of a
+    # rank-r basis monomial has exterior rank r
+    ring = Ring(p, n)
+    subs = maximal_subgroups(ring)
+    for H in subs + tuple(last_pivot_subgroup(h) for h in subs):
+        for d in range(top + 1):
+            for mon in monomial_basis(ring, d).monomials:
+                img = restrict(ring.monomial(mon.ext, mon.pows), H)
+                assert img.exterior_ranks() <= {len(mon.ext)}, (H, mon)
 
 
 @pytest.mark.parametrize("p,n", [(3, 2), (3, 3), (5, 2), (2, 3)])

@@ -124,6 +124,29 @@ def test_kernel_of_restriction_example():
     assert not kernel.contains_vector(basis.coords(ring.x(1)))
 
 
+def test_kernel_of_two_maps_is_the_intersection():
+    rng = random.Random(7)
+    for _ in range(40):
+        d = rng.randrange(1, 7)
+        basis = monomial_basis(R32, d)
+        first, second = (
+            [rand_homogeneous(R32, rng, target) for _ in basis.monomials]
+            for target in (rng.randrange(1, 5), rng.randrange(1, 5))
+        )
+        k1, k2 = kernel_of_map(basis, first), kernel_of_map(basis, second)
+        joint = kernel_of_map(basis, first, second)
+        assert all(k1.contains_vector(v) and k2.contains_vector(v) for v in joint.rows)
+        sum_dim = rref(np.vstack([k1.rows, k2.rows]), 3).shape[0]
+        assert joint.dim == k1.dim + k2.dim - sum_dim
+    # all-zero images, or no map at all: the kernel is the whole domain
+    eye = np.eye(len(basis), dtype=np.int64)
+    zero = [R32.zero()] * len(basis)
+    assert np.array_equal(kernel_of_map(basis, zero, zero).rows, eye)
+    assert np.array_equal(kernel_of_map(basis).rows, eye)
+    with pytest.raises(ValueError):
+        kernel_of_map(basis, zero, zero[1:])
+
+
 def test_rank_nullity():
     rng = random.Random(5)
     for _ in range(40):

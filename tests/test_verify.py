@@ -1,5 +1,8 @@
 import json
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -67,6 +70,30 @@ def test_resource_guard_accepts_the_shipped_configurations():
     configs.append((*bench["INVARIANT_RING"], 0))
     for p, n, max_degree in configs:
         check_resources(Ring(p, n), max_degree)
+
+
+def test_joint_annihilator_at_rank_four_fits_in_two_gigabytes():
+    # the dense codomain blocks of y * M_{n,s}, in degrees up to 12 + 79,
+    # once needed more than 2 GB; the limit is the one the benchmark
+    # children run under
+    root = Path(__file__).parents[1]
+    code = (
+        "import resource\n"
+        "limit = 2048 << 20\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+        "from mui import Ring, run_claim\n"
+        "print(run_claim('lemma:jointAnn', Ring(3, 4), 12).status)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=300,
+    )
+    assert child.returncode == 0, child.stderr[-2000:]
+    assert child.stdout.split() == ["pass"]
 
 
 def test_report_shape_and_json():
