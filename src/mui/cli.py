@@ -12,7 +12,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .algebra import ParseError, Ring
+from .algebra import Ring
 from .essential import decompose, ess_basis, maximal_subgroups, restrict, steenrod_closure
 from .invariants import dickson, l_n, mui, mui_set
 from .linalg import monomial_basis
@@ -213,10 +213,12 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    # ParseError and ConfigError are ValueErrors; RuntimeError is the
+    # closure dimension cap; a bare MemoryError has an empty message
     try:
         return _COMMANDS[args.command](args)
-    except (ParseError, ConfigError, ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, ZeroDivisionError, RuntimeError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -244,7 +244,14 @@ def kernel_of_map(domain: DegreeBasis, *maps) -> DegreeSpan:
     Each map is given by the images of domain.monomials, in order.  The
     matrix has one column per (map, codomain monomial) pair that occurs in
     some image, so no codomain basis is enumerated; with no nonzero image
-    the kernel is the whole domain."""
+    the kernel is the whole domain.
+
+    Coordinates forced to zero are pruned before elimination, as in the
+    first phase of structured Gaussian elimination (LaMacchia and Odlyzko,
+    CRYPTO '90): a pair hit by exactly one live domain monomial makes that
+    coordinate 0 in every kernel vector, repeatedly until no such pair is
+    left.  Zero columns put back into the RREF of the live part keep it
+    the RREF of the whole kernel."""
     columns: dict = {}
     cols, rows, vals = [], [], []
     for k, images in enumerate(maps):
@@ -258,7 +265,19 @@ def kernel_of_map(domain: DegreeBasis, *maps) -> DegreeSpan:
     # built transposed: the kernel is the null space of the image matrix
     mat = np.zeros((len(columns), len(domain)), dtype=np.int64)
     mat[cols, rows] = vals
-    return DegreeSpan(domain.ring.p, domain.degree, null_space(mat, domain.ring.p))
+    nonzero = mat != 0
+    live = np.ones(len(domain), dtype=bool)
+    count = nonzero.sum(axis=1)
+    while (single := count == 1).any():
+        forced = np.unique((nonzero[single] & live).argmax(axis=1))
+        live[forced] = False
+        count -= nonzero[:, forced].sum(axis=1)
+    sub = np.zeros((0, 0), dtype=np.int64)
+    if live.any():
+        sub = null_space(mat[np.ix_(count > 0, live)], domain.ring.p)
+    kernel = np.zeros((len(sub), len(domain)), dtype=np.int64)
+    kernel[:, live] = sub
+    return DegreeSpan(domain.ring.p, domain.degree, kernel)
 
 
 class SpanBuilder:

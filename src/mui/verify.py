@@ -12,6 +12,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -295,8 +296,10 @@ def _check_mnst(ring: Ring, max_degree: int) -> list[Case]:
     return cases
 
 
-def _joint_annihilator(ring: Ring, d: int, subsets: list[tuple[int, ...]]) -> DegreeSpan:
-    """Kernel of y -> (y * M_S)_S on the degree-d basis."""
+@lru_cache(maxsize=None)
+def _joint_annihilator(ring: Ring, d: int, subsets: tuple[tuple[int, ...], ...]) -> DegreeSpan:
+    """Kernel of y -> (y * M_S)_S on the degree-d basis; cached, since
+    coroll:jointAnn2 at r = 1 asks for the subsets of lemma:jointAnn."""
     basis = monomial_basis(ring, d)
     gens = [Element(ring.p, ring.n, {tuple(mon): 1}) for mon in basis.monomials]
     return kernel_of_map(basis, *([y * mui_set(ring, s) for y in gens] for s in subsets))
@@ -314,7 +317,7 @@ def _high_rank_span(ring: Ring, d: int, min_rank: int) -> DegreeSpan:
 def _check_joint_ann(ring: Ring, max_degree: int) -> list[Case]:
     """The joint annihilator of the rank-one invariants is the top exterior
     rank, degree by degree."""
-    singletons = [(s,) for s in range(1, ring.n + 1)]
+    singletons = tuple((s,) for s in range(1, ring.n + 1))
     cases = []
     for d in range(max_degree + 1):
         actual = _joint_annihilator(ring, d, singletons)
@@ -328,7 +331,7 @@ def _check_joint_ann2(ring: Ring, max_degree: int) -> list[Case]:
     the exterior ranks above n - r."""
     cases = []
     for r in range(1, ring.n + 1):
-        subsets = list(combinations(range(1, ring.n + 1), r))
+        subsets = tuple(combinations(range(1, ring.n + 1), r))
         for d in range(max_degree + 1):
             actual = _joint_annihilator(ring, d, subsets)
             expected = _high_rank_span(ring, d, ring.n - r + 1)

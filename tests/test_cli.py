@@ -2,6 +2,7 @@ import json
 import random
 
 from mui import Ring
+from mui import cli
 from mui.cli import main
 from helpers import rand_element
 
@@ -87,6 +88,29 @@ def test_closure_command(capsys):
     )
     assert code == 0
     assert out.splitlines() == ["d=0 dim=0", "d=1 dim=0", "d=2 dim=1", "d=3 dim=1", "d=4 dim=2"]
+
+
+def test_closure_failures_exit_two_without_traceback(capsys, monkeypatch):
+    real = cli.steenrod_closure
+    monkeypatch.setattr(
+        cli, "steenrod_closure", lambda seed, top: real(seed, top, dim_cap=1)
+    )
+    argv = ("closure", "a1a2", "--max-degree", "4", "--p", "3", "--n", "2")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: closure exceeded the dimension cap 1\n"
+
+    for exc, message in [
+        (MemoryError("cannot allocate the closure"), "cannot allocate the closure"),
+        (MemoryError(), "MemoryError"),
+    ]:
+        def out_of_memory(seed, top):
+            raise exc
+
+        monkeypatch.setattr(cli, "steenrod_closure", out_of_memory)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
 
 
 def test_verify_pass_and_exit_codes(capsys):

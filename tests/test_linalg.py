@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from mui import Ring, basis_dimension, kernel_of_map, monomial_basis, span_of
+from mui import linalg
 from mui.essential import maximal_subgroups, restrict
-from mui.linalg import SpanBuilder, left_null_space, rref
+from mui.linalg import SpanBuilder, left_null_space, null_space, rref
 from helpers import rand_homogeneous
 
 R32 = Ring(3, 2)
@@ -145,6 +146,100 @@ def test_kernel_of_two_maps_is_the_intersection():
     assert np.array_equal(kernel_of_map(basis).rows, eye)
     with pytest.raises(ValueError):
         kernel_of_map(basis, zero, zero[1:])
+
+
+def kernel_by_blocks(domain, codomain, mat):
+    """kernel_of_map of the maps whose (codomain x domain) matrices are the
+    consecutive len(codomain)-row blocks of mat."""
+    ring, size = domain.ring, len(codomain)
+    maps = [
+        [
+            sum(
+                (ring.monomial(m.ext, m.pows, int(c)) for m, c in zip(codomain, col) if c),
+                ring.zero(),
+            )
+            for col in mat[k:k + size].T
+        ]
+        for k in range(0, len(mat), size)
+    ]
+    return kernel_of_map(domain, *maps)
+
+
+def sparse_with_cascade(rng, p, n_rows, n_cols, chain):
+    """A sparse matrix in which the columns of chain are forced to zero one
+    pruning pass after another: the first chain row is a singleton, and each
+    later one becomes a singleton once its predecessor's column is dropped.
+    The other rows have zero to three entries anywhere."""
+    mat = np.zeros((n_rows, n_cols), dtype=np.int64)
+    for i, c in enumerate(chain):
+        mat[i, c] = rng.randrange(1, p)
+        if i:
+            mat[i, chain[i - 1]] = rng.randrange(1, p)
+    for i in range(len(chain), n_rows):
+        for c in rng.sample(range(n_cols), rng.randrange(min(4, n_cols + 1))):
+            mat[i, c] = rng.randrange(1, p)
+    return mat[rng.sample(range(n_rows), n_rows)]
+
+
+@pytest.mark.parametrize("ring", [Ring(3, 3), Ring(5, 2), Ring(2, 3)])
+def test_pruned_kernel_matches_dense_null_space(ring, monkeypatch):
+    rng = random.Random(11 + ring.p)
+    live_columns = []
+    monkeypatch.setattr(
+        linalg, "null_space", lambda m, p: live_columns.append(m.shape[1]) or null_space(m, p)
+    )
+    for _ in range(60):
+        domain = monomial_basis(ring, rng.randrange(1, 7))
+        codomain = monomial_basis(ring, rng.randrange(1, 9)).monomials
+        n_rows = len(codomain) * rng.randrange(1, 4)
+        n_cols = len(domain)
+        chain = rng.sample(range(n_cols), rng.randrange(min(n_cols, n_rows) + 1))
+        mat = sparse_with_cascade(rng, ring.p, n_rows, n_cols, chain)
+        kernel = kernel_by_blocks(domain, codomain, mat)
+        assert np.array_equal(kernel.rows, null_space(mat, ring.p))
+        assert kernel.rows.shape[1] == n_cols
+
+    # every column forced by a cascade: the kernel is (0, len(domain))
+    domain = monomial_basis(ring, 4)
+    codomain = monomial_basis(ring, 8).monomials
+    n_cols = len(domain)
+    mat = sparse_with_cascade(rng, ring.p, n_cols, n_cols, rng.sample(range(n_cols), n_cols))
+    assert kernel_by_blocks(domain, codomain, mat).rows.shape == (0, n_cols)
+
+    # no singleton row: nothing is pruned
+    mat = np.zeros((n_cols, n_cols), dtype=np.int64)
+    for i in range(n_cols):
+        mat[i, [i, (i + 1) % n_cols]] = [1, ring.p - 1]
+    live_columns.clear()
+    kernel = kernel_by_blocks(domain, codomain, mat)
+    assert live_columns == [n_cols]
+    assert np.array_equal(kernel.rows, null_space(mat, ring.p))
+    assert kernel.dim == 1
+
+    # rows {0}, {1} force both columns in one pass; row {0, 1} goes from two
+    # live entries to none and is dropped with them
+    mat = np.zeros((4, n_cols), dtype=np.int64)
+    mat[0, 0] = mat[1, 1] = mat[2, 0] = mat[2, 1] = 1
+    mat[3, 2:] = 1
+    live_columns.clear()
+    kernel = kernel_by_blocks(domain, codomain, mat)
+    assert live_columns == [n_cols - 2]
+    assert np.array_equal(kernel.rows, null_space(mat, ring.p))
+
+
+def test_fully_forced_domain_skips_elimination(monkeypatch):
+    def refuse(mat, p):
+        raise AssertionError("null_space called on a fully forced domain")
+
+    monkeypatch.setattr(linalg, "null_space", refuse)
+    basis = monomial_basis(R32, 2)
+    images = [R32.monomial(m.ext, m.pows) for m in basis.monomials]
+    assert kernel_of_map(basis, images).rows.shape == (0, len(basis))
+    # a three-pass cascade: only a1a2 has x2 in its image, which forces a1a2;
+    # then only x1 has x1, and then only x2 has a1a2
+    a12, x1, x2 = (R32.monomial(m.ext, m.pows) for m in basis.monomials)
+    images = [x1 + x2, a12 + x1, a12]
+    assert kernel_of_map(basis, images).rows.shape == (0, len(basis))
 
 
 def test_rank_nullity():
