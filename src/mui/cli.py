@@ -10,34 +10,21 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .algebra import Ring
-from .essential import decompose, ess_basis, maximal_subgroups, restrict, steenrod_closure
+from .essential import MaximalSubgroup, decompose, ess_basis, restrict, steenrod_closure
 from .invariants import dickson, l_n, mui, mui_set
 from .linalg import monomial_basis
 from .steenrod import apply_word, parse_word
 from .verify import ConfigError, check_resources, run_all
 
 
-@dataclass
-class RunConfig:
-    """A validated (p, n, degree bound) configuration for one command.
-
-    The resource guard rejects configurations whose degreewise monomial
-    bases (or subgroup counts) exceed the documented caps in mui.verify.
-    """
-
-    p: int
-    n: int
-    max_degree: int = 0
-    json_output: bool = False
-    claims: list[str] | None = None
-
-    def ring(self) -> Ring:
-        ring = Ring(self.p, self.n)
-        check_resources(ring, self.max_degree)
-        return ring
+def _ring(args, max_degree: int = 0) -> Ring:
+    """The command's ring, refused by the resource guard of mui.verify when
+    its bases up to max_degree or its subgroup count exceed the caps."""
+    ring = Ring(args.p, args.n)
+    check_resources(ring, max_degree)
+    return ring
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -95,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_invariant(args) -> int:
-    ring = RunConfig(args.p, args.n).ring()
+    ring = _ring(args)
     if args.kind == "L":
         result = l_n(ring)
     elif args.kind == "M":
@@ -116,7 +103,7 @@ def _cmd_invariant(args) -> int:
 
 
 def _cmd_apply(args) -> int:
-    ring = RunConfig(args.p, args.n).ring()
+    ring = _ring(args)
     word = parse_word(args.word, ring.p)
     y = ring.parse(args.element)
     result = apply_word(word, y)
@@ -125,20 +112,18 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_restrict(args) -> int:
-    ring = RunConfig(args.p, args.n).ring()
+    ring = _ring(args)
+    # MaximalSubgroup refuses a zero form or one of the wrong length
     form = tuple(int(t) % ring.p for t in args.form.split(","))
-    if len(form) != ring.n or not any(form):
-        raise ConfigError(f"--form needs {ring.n} residues, not all zero")
-    lead = next(c for c in form if c)
-    normalized = tuple(c * pow(lead, -1, ring.p) % ring.p for c in form)
-    H = next(h for h in maximal_subgroups(ring) if h.form == normalized)
+    lead = next((c for c in form if c), 1)
+    H = MaximalSubgroup(ring, tuple(c * pow(lead, -1, ring.p) % ring.p for c in form))
     result = restrict(ring.parse(args.element), H)
     print(json.dumps({"element": str(result)}) if args.json else result)
     return 0
 
 
 def _cmd_ess_basis(args) -> int:
-    ring = RunConfig(args.p, args.n, args.degree).ring()
+    ring = _ring(args, args.degree)
     span = ess_basis(ring, args.degree)
     basis = monomial_basis(ring, args.degree)
     texts = [str(basis.element(row)) for row in span.rows]
@@ -152,7 +137,7 @@ def _cmd_ess_basis(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    ring = RunConfig(args.p, args.n).ring()
+    ring = _ring(args)
     y = ring.parse(args.element)
     parts = decompose(y)
     if args.json:
@@ -168,8 +153,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_closure(args) -> int:
-    cfg = RunConfig(args.p, args.n, args.max_degree)
-    ring = cfg.ring()
+    ring = _ring(args, args.max_degree)
     seed = ring.parse(args.element)
     spans = steenrod_closure(seed, args.max_degree)
     if args.json:
@@ -181,8 +165,7 @@ def _cmd_closure(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = RunConfig(args.p, args.n, args.max_degree)
-    ring = cfg.ring()
+    ring = _ring(args, args.max_degree)
     claims = None
     if args.claims:
         claims = [t.strip() for t in args.claims.split(",") if t.strip()]

@@ -1,9 +1,10 @@
 """Maximal subgroups, restriction maps, and the essential ideal.
 
-A maximal subgroup is the kernel of a nonzero linear form, one per point of
-the projective space of the dual; restriction is the algebra map that kills
-that form, i.e. the linear substitution x_pivot -> -sum_{i != pivot} form_i x_i
-(a_pivot likewise) at the form's leading coordinate, where form_pivot = 1.
+A maximal subgroup is the kernel of a nonzero linear form normalized to
+leading coefficient 1, one per point of the projective space of the dual.
+Restriction is the algebra map that kills the form: the linear substitution
+x_pivot -> -sum_{i > pivot} form_i x_i (a_pivot likewise) at the form's
+leading coordinate, the other generators renumbered in order.
 The essential classes of one degree are the joint kernel of all
 restrictions, computed with exact linear algebra one exterior rank at a time.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, groupby, product
 from operator import add
 
@@ -47,33 +48,32 @@ def projective_forms(p: int, n: int) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class MaximalSubgroup:
-    """The kernel of a normalized linear form, with a fixed restriction
-    matrix whose rows give the images of the rank-(n-1) generators."""
+    """The kernel of a nonzero linear form normalized to leading coefficient
+    1.  Restriction to it eliminates the leading coordinate (the pivot)."""
 
     ring: Ring
     form: tuple[int, ...]
-    matrix: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        form, lead = self.form, next((c for c in self.form if c), None)
+        if len(form) != self.ring.n or lead != 1 or any(not 0 <= c < self.ring.p for c in form):
+            raise ValueError(f"form {form} over {self.ring} needs {self.ring.n} entries in "
+                             f"0..{self.ring.p - 1}, not all zero, the first nonzero one 1")
 
     @property
     def subring(self) -> Ring:
         return Ring(self.ring.p, self.ring.n - 1)
 
-    def __repr__(self):
-        return f"MaximalSubgroup(form={self.form})"
+    @cached_property
+    def pivot(self) -> int:
+        """The leading coordinate of the form, eliminated by restriction."""
+        return next(i for i, c in enumerate(self.form) if c)
 
-
-def _restriction_matrix(form: tuple[int, ...], p: int) -> tuple[tuple[int, ...], ...]:
-    # pivot coordinate is eliminated: e_pivot maps to -sum of the others
-    n = len(form)
-    pivot = next(i for i, c in enumerate(form) if c)
-    kept = [i for i in range(n) if i != pivot]
-    rows = []
-    for i in kept:
-        row = [0] * n
-        row[i] = 1
-        row[pivot] = (-form[i]) % p
-        rows.append(tuple(row))
-    return tuple(rows)
+    @cached_property
+    def _images(self) -> tuple[dict, dict]:
+        """Caches that restrict fills on demand: pivot power images keyed by
+        e, exterior images keyed by E."""
+        return {}, {}
 
 
 @lru_cache(maxsize=None)
@@ -81,25 +81,26 @@ def maximal_subgroups(ring: Ring) -> tuple[MaximalSubgroup, ...]:
     """One subgroup per projective point of the dual, deterministic order."""
     if ring.n < 1:
         raise ValueError("rank must be at least 1")
-    return tuple(
-        MaximalSubgroup(ring, form, _restriction_matrix(form, ring.p))
-        for form in projective_forms(ring.p, ring.n)
-    )
+    return tuple(MaximalSubgroup(ring, form) for form in projective_forms(ring.p, ring.n))
 
 
-def _column_image(H: MaximalSubgroup, col: int, gen) -> Element:
-    """Image of generator col + 1 under restriction, read from column col of
-    H.matrix; gen is the subring's x or a."""
+def _generator_image(H: MaximalSubgroup, i: int, gen) -> Element:
+    """Image of generator i + 1 under restriction; gen is the subring's x or
+    a.  The pivot goes to -sum_{t > pivot} form_t gen_t, the others are
+    renumbered in order."""
+    j = H.pivot
+    if i != j:
+        return gen(i + 1 if i < j else i)
     out = H.subring.zero()
-    for t, row in enumerate(H.matrix):
-        if row[col]:
-            out = out + gen(t + 1) * row[col]
+    for t in range(j + 1, H.ring.n):
+        if H.form[t]:
+            out = out + gen(t) * -H.form[t]
     return out
 
 
-def _pivot_power(H: MaximalSubgroup, pivot: int, e: int) -> tuple:
+def _pivot_power(H: MaximalSubgroup, e: int) -> tuple:
     """Image of x_pivot^e as (exponent vector, coefficient) pairs."""
-    img = _column_image(H, pivot, H.subring.x) ** e
+    img = _generator_image(H, H.pivot, H.subring.x) ** e
     return tuple((pows, c) for (_, pows), c in img.terms.items())
 
 
@@ -109,36 +110,21 @@ def _exterior_image(H: MaximalSubgroup, ext: tuple[int, ...]) -> tuple:
     sub = H.subring
     img = sub.one()
     for i in ext:
-        img = img * _column_image(H, i - 1, sub.a)
+        img = img * _generator_image(H, i - 1, sub.a)
     return tuple((idx, c) for (idx, _), c in img.terms.items())
-
-
-@lru_cache(maxsize=None)
-def _substitution(H: MaximalSubgroup) -> tuple[int, dict, dict]:
-    """The eliminated coordinate of H, and two caches that restrict fills on
-    demand: pivot power images keyed by e, exterior images keyed by E.
-
-    The pivot is the column of H.matrix whose removal leaves the identity,
-    so that the other generators keep their order."""
-    n = H.ring.n
-    identity = [tuple(int(c == t) for c in range(n - 1)) for t in range(n - 1)]
-    if len(H.matrix) == n - 1:
-        for j in range(n):
-            if [row[:j] + row[j + 1:] for row in H.matrix] == identity:
-                return j, {}, {}
-    raise ValueError(f"restriction matrix of {H} is not an identity plus one column")
 
 
 def restrict(y: Element, H: MaximalSubgroup) -> Element:
     """Image of y under restriction to H, over rank n-1.
 
-    Restriction is the linear substitution x_pivot -> -sum_{i != pivot}
-    form_i x_i / form_pivot (a_pivot likewise), the other coordinates
-    renumbered in order.  Each term costs one shifted copy of the cached
-    image of its pivot power, times the cached image of its exterior part."""
+    Restriction is the linear substitution x_pivot -> -sum_{i > pivot}
+    form_i x_i (a_pivot likewise), the other coordinates renumbered in
+    order.  Each term costs one shifted copy of the cached image of its
+    pivot power, times the cached image of its exterior part."""
     if (y.p, y.n) != (H.ring.p, H.ring.n):
         raise ValueError("element and subgroup live over different rings")
-    j, powers, exteriors = _substitution(H)
+    j = H.pivot
+    powers, exteriors = H._images
     acc: dict = {}
     get = acc.get
     for (ext, pows), c in y.terms.items():
@@ -149,7 +135,7 @@ def restrict(y: Element, H: MaximalSubgroup) -> Element:
             continue
         shifts = powers.get(pows[j])
         if shifts is None:
-            shifts = powers[pows[j]] = _pivot_power(H, j, pows[j])
+            shifts = powers[pows[j]] = _pivot_power(H, pows[j])
         kept = pows[:j] + pows[j + 1:]
         for shift, k in shifts:
             mon = tuple(map(add, kept, shift))
@@ -254,9 +240,11 @@ def decompose(y: Element) -> dict[tuple[int, ...], Element]:
     return result
 
 
-def steenrod_closure(
-    seed: Element, max_degree: int, *, dim_cap: int = 100_000
-) -> dict[int, DegreeSpan]:
+# Total dimension past which steenrod_closure gives up.
+MAX_CLOSURE_DIMENSION = 100_000
+
+
+def steenrod_closure(seed: Element, max_degree: int) -> dict[int, DegreeSpan]:
     """Degreewise spans of the smallest ideal containing the seed and closed
     under the Steenrod operations, up to max_degree.
 
@@ -286,8 +274,8 @@ def steenrod_closure(
             builder = builders[d] = SpanBuilder(len(monomial_basis(ring, d)), p)
         if builder.insert(monomial_basis(ring, d).coords(el)):
             total_dim += 1
-            if total_dim > dim_cap:
-                raise RuntimeError(f"closure exceeded the dimension cap {dim_cap}")
+            if total_dim > MAX_CLOSURE_DIMENSION:
+                raise RuntimeError(f"closure exceeded the dimension cap {MAX_CLOSURE_DIMENSION}")
             pending[d].append(el)
 
     if isinstance(deg, int) and deg <= max_degree:

@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .algebra import Element, Monomial, Ring, term_key
+from .algebra import Element, Monomial, Ring, _element, term_key
 
 
 # Products of two residues must fit in int64: (p - 1)^2 < 2^63.
@@ -164,14 +164,10 @@ class DegreeBasis:
         return vec
 
     def element(self, vec: np.ndarray) -> Element:
-        ring = self.ring
-        out = ring.zero()
-        for i, c in enumerate(vec):
-            c = int(c) % ring.p
-            if c:
-                mon = self.monomials[i]
-                out = out + ring.monomial(mon.ext, mon.pows, c)
-        return out
+        terms = {
+            (mon.ext, mon.pows): int(c) for mon, c in zip(self.monomials, vec, strict=True) if c
+        }
+        return _element(self.ring.p, self.ring.n, terms)
 
     def elements(self, mat: np.ndarray) -> list[Element]:
         return [self.element(row) for row in mat]

@@ -17,7 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .algebra import Element, Ring
+from .algebra import Element, Ring, _element
 from .essential import (
     decompose,
     ess_basis,
@@ -373,12 +373,8 @@ def _random_poly(ring: Ring, rng: random.Random, poly_degree: int) -> Element:
     """Random homogeneous polynomial of the given polynomial degree."""
     from .linalg import _compositions
 
-    out = ring.zero()
-    for pows in _compositions(poly_degree, ring.n):
-        c = rng.randrange(ring.p)
-        if c:
-            out = out + ring.monomial((), pows, c)
-    return out
+    terms = {((), pows): rng.randrange(ring.p) for pows in _compositions(poly_degree, ring.n)}
+    return _element(ring.p, ring.n, terms)
 
 
 def _check_free(ring: Ring, max_degree: int) -> list[Case]:
@@ -641,13 +637,19 @@ def claim_ids(ring: Ring | None = None) -> list[str]:
     return [cid for cid, c in CLAIMS.items() if c.supports(ring)]
 
 
-def run_claim(claim_id: str, ring: Ring, max_degree: int) -> VerificationReport:
-    """Run one claim check and package the result."""
+def _claim(claim_id: str, ring: Ring) -> Claim:
+    """The registered claim, refused when unknown or not valid for the ring."""
     claim = CLAIMS.get(claim_id)
     if claim is None:
         raise ConfigError(f"unknown claim id {claim_id!r}; known: {', '.join(CLAIMS)}")
     if not claim.supports(ring):
         raise ConfigError(f"claim {claim_id} does not apply at p = {ring.p}")
+    return claim
+
+
+def run_claim(claim_id: str, ring: Ring, max_degree: int) -> VerificationReport:
+    """Run one claim check and package the result."""
+    claim = _claim(claim_id, ring)
     check_resources(ring, max_degree)
     start = time.perf_counter()
     cases = claim.check(ring, max_degree)
@@ -667,10 +669,10 @@ def run_claim(claim_id: str, ring: Ring, max_degree: int) -> VerificationReport:
 def run_all(
     ring: Ring, max_degree: int, claims: list[str] | None = None
 ) -> list[VerificationReport]:
-    """Run the selected claims (default: every claim valid for the mode)."""
+    """Run the selected claims (default: every claim valid for the mode),
+    after checking that each of them is known and valid for the ring."""
     check_resources(ring, max_degree)
     selected = claims if claims is not None else claim_ids(ring)
     for cid in selected:
-        if cid not in CLAIMS:
-            raise ConfigError(f"unknown claim id {cid!r}; known: {', '.join(CLAIMS)}")
+        _claim(cid, ring)
     return [run_claim(cid, ring, max_degree) for cid in selected]

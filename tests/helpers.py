@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from mui import Element, Ring
-from mui.essential import MaximalSubgroup
+from mui.essential import MaximalSubgroup, maximal_subgroups
 from mui.linalg import left_null_space, monomial_basis
 
 
@@ -147,21 +147,27 @@ def reference_dickson(ring: Ring, r: int) -> Element:
     return coef if (ring.n - r) % 2 == 0 else -coef
 
 
-def reference_restrict(y: Element, H: MaximalSubgroup) -> Element:
-    """Reference restriction: every generator mapped through the columns of
-    H.matrix, each term rebuilt by Element products."""
-    sub = H.subring
-    a_imgs, x_imgs = [], []
-    for i in range(H.ring.n):
-        a_img, x_img = sub.zero(), sub.zero()
-        for t in range(H.ring.n - 1):
-            c = H.matrix[t][i]
-            if c:
-                if not sub.mod2:
-                    a_img = a_img + sub.a(t + 1) * c
-                x_img = x_img + sub.x(t + 1) * c
-        a_imgs.append(a_img)
-        x_imgs.append(x_img)
+def reference_restrict(y: Element, H: MaximalSubgroup, pivot: int | None = None) -> Element:
+    """Reference restriction: the form of H solved for coordinate pivot
+    (default its leading one), every generator image and every term rebuilt
+    by Element products."""
+    ring, sub, form = H.ring, H.subring, H.form
+    if pivot is None:
+        pivot = next(i for i, c in enumerate(form) if c)
+    scale = -pow(form[pivot], -1, ring.p)
+
+    def image(gen, i):
+        # the kept coordinates are renumbered in order
+        if i != pivot:
+            return gen(i + 1 if i < pivot else i)
+        out = sub.zero()
+        for k, c in enumerate(form):
+            if k != pivot and c:
+                out = out + gen(k + 1 if k < pivot else k) * (c * scale)
+        return out
+
+    x_imgs = [image(sub.x, i) for i in range(ring.n)]
+    a_imgs = [] if sub.mod2 else [image(sub.a, i) for i in range(ring.n)]
     out = sub.zero()
     for (ext, pows), c in y.terms.items():
         img = sub.scalar(c)
@@ -173,33 +179,24 @@ def reference_restrict(y: Element, H: MaximalSubgroup) -> Element:
     return out
 
 
-def last_pivot_subgroup(H: MaximalSubgroup) -> MaximalSubgroup:
-    """The same subgroup with its restriction matrix solved for the last
-    nonzero coordinate of the form instead of the first."""
-    ring, form = H.ring, H.form
-    pivot = max(i for i, c in enumerate(form) if c)
-    inv = pow(int(form[pivot]), -1, ring.p)
-    rows = []
-    for i in range(ring.n):
-        if i != pivot:
-            row = [0] * ring.n
-            row[i] = 1
-            row[pivot] = (-form[i] * inv) % ring.p
-            rows.append(tuple(row))
-    return MaximalSubgroup(ring, form, tuple(rows))
+def last_nonzero(form: tuple[int, ...]) -> int:
+    """The last nonzero coordinate of a form, an alternative pivot."""
+    return max(i for i, c in enumerate(form) if c)
 
 
-def reference_ess_basis(ring: Ring, d: int, subgroups) -> np.ndarray:
-    """Reference for ess_basis: one dense block per subgroup over the whole
-    codomain basis, filled by reference_restrict, and one left kernel of the
-    stack of all blocks."""
+def reference_ess_basis(ring: Ring, d: int, pivot=None) -> np.ndarray:
+    """Reference for ess_basis: one dense block per maximal subgroup over the
+    whole codomain basis, filled by reference_restrict with the form solved
+    at pivot(form) (default its leading coordinate), and one left kernel of
+    the stack of all blocks."""
     basis = monomial_basis(ring, d)
     blocks = []
-    for H in subgroups:
+    for H in maximal_subgroups(ring):
+        at = None if pivot is None else pivot(H.form)
         cod = monomial_basis(H.subring, d)
         block = np.zeros((len(basis), len(cod)), dtype=np.int64)
         for r, mon in enumerate(basis.monomials):
-            img = reference_restrict(ring.monomial(mon.ext, mon.pows), H)
+            img = reference_restrict(ring.monomial(mon.ext, mon.pows), H, at)
             if img:
                 block[r] = cod.coords(img)
         blocks.append(block)

@@ -2,7 +2,7 @@ import json
 import random
 
 from mui import Ring
-from mui import cli
+from mui import cli, essential
 from mui.cli import main
 from helpers import rand_element
 
@@ -65,6 +65,13 @@ def test_restrict_command(capsys):
     assert out == "0\n"
     code, out, _ = run_cli(capsys, "restrict", "x1^2", "--form", "0,1", "--p", "3", "--n", "2")
     assert out == "x1^2\n"
+    # the form is normalized; a zero form or one of the wrong length exits 2
+    code, out, _ = run_cli(capsys, "restrict", "x2", "--form", "2,1", "--p", "3", "--n", "2")
+    assert (code, out) == (0, "x1\n")
+    for form in ("0,3", "1,2,0"):
+        code, out, err = run_cli(capsys, "restrict", "x1", "--form", form, "--p", "3", "--n", "2")
+        assert code == 2 and out == ""
+        assert err.startswith("error: form ") and "needs 2 entries" in err
 
 
 def test_ess_basis_command(capsys):
@@ -91,10 +98,7 @@ def test_closure_command(capsys):
 
 
 def test_closure_failures_exit_two_without_traceback(capsys, monkeypatch):
-    real = cli.steenrod_closure
-    monkeypatch.setattr(
-        cli, "steenrod_closure", lambda seed, top: real(seed, top, dim_cap=1)
-    )
+    monkeypatch.setattr(essential, "MAX_CLOSURE_DIMENSION", 1)
     argv = ("closure", "a1a2", "--max-degree", "4", "--p", "3", "--n", "2")
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""

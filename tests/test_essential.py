@@ -20,12 +20,13 @@ from mui import (
     restrict,
     steenrod_closure,
 )
+from mui import essential
 from mui.essential import MaximalSubgroup, proof_word, projective_forms
 from mui.steenrod import apply_word
 from helpers import (
     all_subsets,
     homogeneous_elements,
-    last_pivot_subgroup,
+    last_nonzero,
     rand_element,
     reference_ess_basis,
     reference_restrict,
@@ -44,13 +45,18 @@ def test_subgroup_counts():
     assert all(next(c for c in f if c) == 1 for f in forms)
 
 
-def test_restriction_matrix_has_the_form_in_its_kernel():
-    for ring in (R32, R33, Ring(2, 3)):
+def test_restriction_kills_the_form():
+    for ring in (R32, R33, Ring(5, 2), Ring(2, 3)):
         for H in maximal_subgroups(ring):
-            mat = np.array(H.matrix, dtype=np.int64)
-            assert mat.shape == (ring.n - 1, ring.n)
-            assert np.linalg.matrix_rank(mat % ring.p) == ring.n - 1
-            assert not (mat @ np.array(H.form) % ring.p).any()
+            kept = [i for i in range(1, ring.n + 1) if i != H.pivot + 1]
+            for name in ["x"] if ring.mod2 else ["x", "a"]:
+                gen, sub_gen = getattr(ring, name), getattr(H.subring, name)
+                form = ring.zero()
+                for i, c in enumerate(H.form, start=1):
+                    form = form + gen(i) * c
+                assert restrict(form, H).is_zero(), H
+                # the kept generators map to the subring generators, in order
+                assert [restrict(gen(i), H) for i in kept] == [sub_gen(t) for t in range(1, ring.n)]
 
 
 def test_restrict_examples():
@@ -149,17 +155,17 @@ def test_ess_basis_matches_dense_reference(p, n, top):
     # their pivot-ordered union are checked against one full kernel
     ring = Ring(p, n)
     for d in range(top + 1):
-        expected = reference_ess_basis(ring, d, maximal_subgroups(ring))
+        expected = reference_ess_basis(ring, d)
         assert np.array_equal(expected, ess_basis(ring, d).rows), (p, n, d)
 
 
 def test_ess_basis_independent_of_complement_choice():
-    # an alternative restriction matrix (pivot solved from the last nonzero
-    # coordinate) must produce the same joint kernel
+    # every form solved at its last nonzero coordinate instead of its leading
+    # one must give the same joint kernel
     for ring, top in ((R32, 10), (R33, 12)):
-        alt = [last_pivot_subgroup(H) for H in maximal_subgroups(ring)]
         for d in range(1, top + 1):
-            assert np.array_equal(reference_ess_basis(ring, d, alt), ess_basis(ring, d).rows)
+            expected = reference_ess_basis(ring, d, pivot=last_nonzero)
+            assert np.array_equal(expected, ess_basis(ring, d).rows), (ring, d)
 
 
 @pytest.mark.parametrize("p,n,top", [(3, 2, 10), (3, 3, 10), (5, 2, 8), (5, 3, 6)])
@@ -167,8 +173,7 @@ def test_restriction_preserves_exterior_rank(p, n, top):
     # the rank split of ess_basis rests on this: every restricted image of a
     # rank-r basis monomial has exterior rank r
     ring = Ring(p, n)
-    subs = maximal_subgroups(ring)
-    for H in subs + tuple(last_pivot_subgroup(h) for h in subs):
+    for H in maximal_subgroups(ring):
         for d in range(top + 1):
             for mon in monomial_basis(ring, d).monomials:
                 img = restrict(ring.monomial(mon.ext, mon.pows), H)
@@ -179,16 +184,17 @@ def test_restriction_preserves_exterior_rank(p, n, top):
 @given(data=st.data())
 def test_restrict_matches_reference(p, n, data):
     ring = Ring(p, n)
-    subs = maximal_subgroups(ring)
-    H = data.draw(st.sampled_from(subs + tuple(last_pivot_subgroup(h) for h in subs)))
+    H = data.draw(st.sampled_from(maximal_subgroups(ring)))
     y = data.draw(homogeneous_elements(ring))
     assert restrict(y, H) == reference_restrict(y, H)
 
 
-def test_restrict_rejects_a_matrix_without_identity_columns():
-    H = MaximalSubgroup(R32, (1, 0), ((2, 0),))
-    with pytest.raises(ValueError):
-        restrict(R32.one(), H)
+def test_maximal_subgroup_refuses_a_bad_form():
+    # zero, wrong length, leading coefficient not 1, entry not reduced mod 3
+    for form in [(0, 0), (1,), (1, 0, 0), (2, 1), (0, 2), (1, 3), (1, -1)]:
+        with pytest.raises(ValueError, match="needs 2 entries"):
+            MaximalSubgroup(R32, form)
+    assert MaximalSubgroup(R32, (0, 1)).pivot == 1
 
 
 def test_decompose_basis_elements():
@@ -234,9 +240,10 @@ def test_closure_respects_the_degree_cap():
     assert max(spans) == 4
 
 
-def test_closure_dimension_guard():
-    with pytest.raises(RuntimeError):
-        steenrod_closure(R32.monomial((1, 2)), 12, dim_cap=3)
+def test_closure_dimension_guard(monkeypatch):
+    monkeypatch.setattr(essential, "MAX_CLOSURE_DIMENSION", 3)
+    with pytest.raises(RuntimeError, match="dimension cap 3"):
+        steenrod_closure(R32.monomial((1, 2)), 12)
 
 
 def test_proof_words_reach_every_subset():

@@ -48,6 +48,27 @@ def test_unknown_claim_rejected():
         run_claim("lemma:p2", R32, 5)  # wrong mode
 
 
+def test_run_all_refuses_a_claim_list_before_running_any(monkeypatch, capsys):
+    # thm:free is valid at odd p and would run first; lemma:p2 is not
+    import dataclasses
+
+    import mui.verify as verify_mod
+    from mui.cli import main
+
+    def must_not_run(ring, max_degree):
+        raise AssertionError("a claim ran before the list was checked")
+
+    free = dataclasses.replace(CLAIMS["thm:free"], check=must_not_run)
+    monkeypatch.setitem(verify_mod.CLAIMS, "thm:free", free)
+    with pytest.raises(ConfigError, match="lemma:p2 does not apply"):
+        run_all(Ring(3, 3), 26, ["thm:free", "lemma:p2"])
+    argv = ["verify", "--p", "3", "--n", "3", "--max-degree", "26", "--claims", "thm:free,lemma:p2"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: claim lemma:p2 does not apply at p = 3\n"
+
+
 def test_resource_guard():
     with pytest.raises(ConfigError):
         check_resources(Ring(3, 9), 5)
