@@ -29,7 +29,6 @@ from .essential import (
     steenrod_closure,
 )
 from .invariants import (
-    complement_sign,
     det,
     dickson,
     fundamental_coefficients,
@@ -37,6 +36,7 @@ from .invariants import (
     minor,
     mui,
     mui_set,
+    product_sign,
 )
 from .linalg import (
     DegreeBasis,
@@ -78,7 +78,6 @@ __all__ = [
     "basis_dimension",
     "bockstein",
     "claim_ids",
-    "complement_sign",
     "decompose",
     "det",
     "dickson",
@@ -96,6 +95,7 @@ __all__ = [
     "mui_set",
     "parse_word",
     "power_op",
+    "product_sign",
     "proof_word",
     "restrict",
     "run_all",

@@ -18,8 +18,8 @@ from itertools import combinations, groupby, product
 from operator import add
 
 from . import field
-from .algebra import Element, Ring, ZERO, _element
-from .invariants import complement_sign, l_n, mui_set
+from .algebra import Element, NotDivisibleError, Ring, ZERO, _element
+from .invariants import l_n, mui_set, product_sign
 from .linalg import (
     DegreeBasis,
     DegreeSpan,
@@ -198,44 +198,45 @@ def decompose(y: Element) -> dict[tuple[int, ...], Element]:
     """Coordinates of an essential class over the polynomial subalgebra, in
     the basis of subset invariants of its exterior rank.
 
-    Requires y nonzero, concentrated in one exterior rank and essential; the
-    returned map S -> f_S satisfies sum of f_S * M_{n,S} == y exactly.
+    Requires odd p, rank n >= 1 and y nonzero in one exterior rank.  With T
+    the complement of S, y * M_{n,T} = f_S * sign * L_n * M_{n,1..n}, so each
+    f_S is one exact division.  The returned map S -> f_S satisfies sum of
+    f_S * M_{n,S} == y exactly, and that reconstruction is the proof that y
+    is essential, since every M_{n,S} restricts to zero.  is_essential runs
+    only when a division or the reconstruction fails, to name the failure:
+    ValueError for an input that is not essential, RuntimeError otherwise.
     """
     ring = Ring(y.p, y.n)
     if ring.mod2:
         raise ValueError("subset-invariant decomposition needs odd p")
+    if ring.n < 1:
+        raise ValueError("rank must be at least 1")
     if y.is_zero():
         raise ValueError("cannot infer the exterior rank of zero")
     ranks = y.exterior_ranks()
     if len(ranks) > 1:
         raise ValueError(f"element mixes exterior ranks {sorted(ranks)}")
-    if not is_essential(y):
-        raise ValueError("element is not essential")
     r = ranks.pop()
     n, p = ring.n, ring.p
     full = tuple(range(1, n + 1))
-    top = mui_set(ring, full)
-    lam = top.coefficient(full, (0,) * n)
-    lam_inv = field.inv(lam, p)
+    lam_inv = field.inv(mui_set(ring, full).coefficient(full, (0,) * n), p)
     big_l = l_n(ring)
     result: dict[tuple[int, ...], Element] = {}
     recon = ring.zero()
-    for subset in combinations(range(1, n + 1), r):
-        comp = tuple(s for s in full if s not in subset)
-        prod = y * mui_set(ring, comp)
-        if prod.is_zero():
-            f = ring.zero()
-        else:
-            q = prod.exact_divide(big_l) * complement_sign(ring, subset)
-            poly: dict = {}
-            for (ext, pows), c in q.terms.items():
-                if ext != full:
-                    raise RuntimeError("complementary product left the top rank")
-                poly[((), pows)] = c * lam_inv
-            f = _element(p, n, poly)
-        result[subset] = f
-        recon = recon + f * mui_set(ring, subset)
-    if recon != y:
+    try:
+        for subset in combinations(full, r):
+            comp = tuple(s for s in full if s not in subset)
+            q = (y * mui_set(ring, comp)).exact_divide(big_l)
+            scale = product_sign(subset, comp) * lam_inv
+            f = _element(p, n, {((), pows): c * scale for (_, pows), c in q.terms.items()})
+            result[subset] = f
+            recon = recon + f * mui_set(ring, subset)
+        exact = recon == y
+    except NotDivisibleError:
+        exact = False
+    if not exact:
+        if not is_essential(y):
+            raise ValueError("element is not essential")
         raise RuntimeError("decomposition failed to reconstruct the input")
     return result
 

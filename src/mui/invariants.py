@@ -109,21 +109,11 @@ def mui_set(ring: Ring, subset: tuple[int, ...]) -> Element:
     return prod
 
 
-def complement_sign(ring: Ring, subset: tuple[int, ...]) -> int:
-    """The sign (+1 or -1) relating M_S * M_T to L_n * M_{1..n} for the
-    complementary pair (S, T)."""
-    _require_odd(ring)
-    subset = _normalize_subset(ring, subset)
-    comp = tuple(s for s in range(1, ring.n + 1) if s not in subset)
-    prod = mui_set(ring, subset) * mui_set(ring, comp)
-    target = l_n(ring) * mui_set(ring, tuple(range(1, ring.n + 1)))
-    if prod == target:
-        return 1
-    if prod == -target:
-        return -1
-    raise RuntimeError(
-        f"complementary product for S={subset} is not +-L_n * M_(1..n)"
-    )
+def product_sign(s_set: tuple[int, ...], t_set: tuple[int, ...]) -> int:
+    """The sign (+1 or -1) with M_S * M_T = sign * L_n * M_{S u T} for
+    disjoint S, T: the M_{n,s} are odd classes, so sorting the factors of S
+    then T into one increasing run costs -1 per pair s > t."""
+    return -1 if sum(s > t for s in s_set for t in t_set) % 2 else 1
 
 
 def fundamental_coefficients(ring: Ring) -> tuple[Element, ...]:

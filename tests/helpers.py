@@ -11,7 +11,7 @@ from itertools import combinations, product
 import numpy as np
 from hypothesis import strategies as st
 
-from mui import Element, Ring
+from mui import Element, Ring, l_n, mui_set
 from mui.essential import MaximalSubgroup, maximal_subgroups
 from mui.linalg import left_null_space, monomial_basis
 
@@ -177,6 +177,25 @@ def reference_restrict(y: Element, H: MaximalSubgroup, pivot: int | None = None)
             img = img * x_imgs[i] ** e
         out = out + img
     return out
+
+
+def reference_is_essential(y: Element) -> bool:
+    """Reference for is_essential: reference_restrict to every maximal
+    subgroup vanishes."""
+    return all(reference_restrict(y, H).is_zero() for H in maximal_subgroups(Ring(y.p, y.n)))
+
+
+def reference_complement_sign(ring: Ring, subset: tuple[int, ...]) -> int:
+    """Reference for product_sign on a complementary pair (S, T): compare
+    the product M_S * M_T with +-L_n * M_{1..n}."""
+    comp = tuple(s for s in range(1, ring.n + 1) if s not in subset)
+    prod = mui_set(ring, subset) * mui_set(ring, comp)
+    target = l_n(ring) * mui_set(ring, tuple(range(1, ring.n + 1)))
+    if prod == target:
+        return 1
+    if prod == -target:
+        return -1
+    raise AssertionError(f"complementary product for S={subset} is not +-L_n * M_(1..n)")
 
 
 def last_nonzero(form: tuple[int, ...]) -> int:

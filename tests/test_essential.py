@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -28,7 +29,9 @@ from helpers import (
     homogeneous_elements,
     last_nonzero,
     rand_element,
+    rand_poly,
     reference_ess_basis,
+    reference_is_essential,
     reference_restrict,
 )
 
@@ -221,6 +224,88 @@ def test_decompose_validates_input():
         decompose(mui(R32, 1) + mui_set(R32, (1, 2)))  # mixed ranks
     with pytest.raises(ValueError):
         decompose(l_n(Ring(2, 2)))
+    with pytest.raises(ValueError, match="rank must be at least 1"):
+        decompose(Ring(3, 0).one())
+
+
+def free_combination(ring, rng, r, extra_gap):
+    """A seeded sum of f_S * M_S over the rank-r subsets, homogeneous of
+    degree extra_gap above the largest deg M_S; returns (y, {S: f_S})."""
+    subsets = list(combinations(range(1, ring.n + 1), r))
+    degrees = {s: mui_set(ring, s).total_degree() for s in subsets}
+    target = max(degrees.values()) + 2 * extra_gap
+    coeffs = {
+        s: rand_poly(ring, rng, (target - degrees[s]) // 2)
+        if (target - degrees[s]) % 2 == 0
+        else ring.zero()
+        for s in subsets
+    }
+    y = ring.zero()
+    for s, f in coeffs.items():
+        y = y + f * mui_set(ring, s)
+    return y, coeffs
+
+
+def test_decompose_success_path_makes_no_restriction(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("restriction on the success path")
+
+    monkeypatch.setattr(essential, "is_essential", refuse)
+    monkeypatch.setattr(essential, "restrict", refuse)
+    rng = random.Random(61)
+    for ring in (R32, R33, Ring(5, 2)):
+        for subset in all_subsets(ring.n):
+            parts = decompose(mui_set(ring, subset))
+            assert parts == {
+                other: ring.one() if other == subset else ring.zero()
+                for other in combinations(range(1, ring.n + 1), len(subset))
+            }
+        y = ring.x(1) * mui(ring, 1) + ring.x(2) * mui(ring, 2)
+        parts = decompose(y)
+        assert parts[(1,)] == ring.x(1) and parts[(2,)] == ring.x(2)
+        for _ in range(8):
+            y, coeffs = free_combination(ring, rng, rng.randrange(ring.n + 1), rng.randrange(3))
+            if y:
+                assert decompose(y) == coeffs
+
+
+def test_decompose_raises_exactly_on_inessential_input():
+    rng = random.Random(67)
+    seen = {True: 0, False: 0}
+    for ring in (R32, R33):
+        for _ in range(16):
+            r = rng.randrange(ring.n + 1)
+            y, _ = free_combination(ring, rng, r, rng.randrange(2))
+            if not y:
+                continue
+            if rng.randrange(2):
+                # perturb by random monomials of the same rank and degree
+                d = y.total_degree()
+                mons = [m for m in monomial_basis(ring, d).monomials if len(m.ext) == r]
+                for _ in range(rng.randrange(1, 4)):
+                    mon = mons[rng.randrange(len(mons))]
+                    y = y + ring.monomial(mon.ext, mon.pows, rng.randrange(1, ring.p))
+                if not y:
+                    continue
+            essential_y = reference_is_essential(y)
+            seen[essential_y] += 1
+            if essential_y:
+                recon = ring.zero()
+                for subset, f in decompose(y).items():
+                    recon = recon + f * mui_set(ring, subset)
+                assert recon == y
+            else:
+                with pytest.raises(ValueError, match="not essential"):
+                    decompose(y)
+    assert min(seen.values()) >= 5, seen
+
+
+def test_decompose_checks_its_own_reconstruction(monkeypatch):
+    real = essential.product_sign
+    monkeypatch.setattr(essential, "product_sign", lambda s, t: -real(s, t))
+    for y in (mui(R32, 1), mui_set(R33, (2, 3)), R32.x(1) * mui(R32, 1) + R32.x(2) * mui(R32, 2)):
+        with pytest.raises(RuntimeError, match="reconstruct"):
+            decompose(y)
 
 
 def test_closure_of_zero_is_zero():

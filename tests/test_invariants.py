@@ -4,7 +4,6 @@ import pytest
 
 from mui import (
     Ring,
-    complement_sign,
     det,
     dickson,
     fundamental_coefficients,
@@ -12,9 +11,15 @@ from mui import (
     minor,
     mui,
     mui_set,
+    product_sign,
 )
 from mui.invariants import subset_degree
-from helpers import all_subsets, fundamental_product, reference_dickson
+from helpers import (
+    all_subsets,
+    fundamental_product,
+    reference_complement_sign,
+    reference_dickson,
+)
 
 R32 = Ring(3, 2)
 R33 = Ring(3, 3)
@@ -105,18 +110,17 @@ def test_mui_set_rejected_at_p2():
         mui_set(Ring(2, 2), (1,))
 
 
-def test_complement_sign_examples():
-    assert complement_sign(R32, (1, 2)) == 1
-    assert complement_sign(R32, ()) == 1
-    assert complement_sign(R32, (1,)) == 1
-    for subset in all_subsets(3):
-        sign = complement_sign(R33, subset)
-        comp = tuple(s for s in range(1, 4) if s not in subset)
-        target = l_n(R33) * mui_set(R33, (1, 2, 3))
-        assert mui_set(R33, subset) * mui_set(R33, comp) == sign * target
+def test_product_sign_matches_the_reference_on_complementary_pairs():
+    assert product_sign((1, 2), ()) == product_sign((), (1, 2)) == 1
+    assert product_sign((2,), (1,)) == -1
+    assert product_sign((2, 3), (1,)) == 1
+    for ring in (R32, R33, Ring(5, 3)):
+        for subset in all_subsets(ring.n):
+            comp = tuple(s for s in range(1, ring.n + 1) if s not in subset)
+            assert product_sign(subset, comp) == reference_complement_sign(ring, subset)
 
 
-@pytest.mark.parametrize("ring", [R32, R33])
+@pytest.mark.parametrize("ring", [R32, R33, R52])
 def test_product_rule_exhaustive(ring):
     big_l = l_n(ring)
     for s_set in all_subsets(ring.n):
@@ -126,8 +130,7 @@ def test_product_rule_exhaustive(ring):
                 assert prod.is_zero()
             else:
                 union = tuple(sorted(s_set + t_set))
-                target = big_l * mui_set(ring, union)
-                assert prod == target or prod == -target
+                assert prod == big_l * mui_set(ring, union) * product_sign(s_set, t_set)
 
 
 @pytest.mark.parametrize("ring", [R32, R33, R52])

@@ -151,3 +151,34 @@ def test_run_all_passes_at_p2():
     reports = run_all(Ring(2, 2), 8)
     assert all(r.passed for r in reports)
     assert {r.claim for r in reports} == {"lemma:eqnLn", "lemma:p2"}
+
+
+def test_a_failing_decompose_fails_the_report(monkeypatch):
+    import mui.verify as verify_mod
+
+    calls = []
+
+    def broken(y):
+        calls.append(str(y))
+        raise RuntimeError("decomposition failed to reconstruct the input")
+
+    monkeypatch.setattr(verify_mod, "decompose", broken)
+    report = run_claim("thm:free", R32, 10)
+    assert report.status == "fail"
+    bad = report.failures()
+    assert {c.id.split("[")[0] for c in bad} == {"round-trip", "spanning"}
+    for case in bad:
+        assert "RuntimeError: decomposition failed" in case.actual
+        assert any(y in case.actual for y in calls)
+
+
+def test_mnst_checks_the_exact_sign(monkeypatch):
+    import mui.verify as verify_mod
+
+    real = verify_mod.product_sign
+    monkeypatch.setattr(verify_mod, "product_sign", lambda s, t: -real(s, t))
+    report = run_claim("eq:MnST", R32, 4)
+    assert report.status == "fail"
+    # every disjoint pair fails, each with the sign it expected
+    assert len(report.failures()) == 9
+    assert all("sign" in c.actual and c.expected == "+-L_n*M_(S u T)" for c in report.failures())
