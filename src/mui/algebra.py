@@ -9,9 +9,11 @@ coefficients in [1, p); equality is structural.
 
 from __future__ import annotations
 
+import heapq
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add, neg, sub
 from typing import Iterable, Iterator, NamedTuple
 
 from . import field
@@ -82,6 +84,14 @@ def _merge_ext(e1: tuple[int, ...], e2: tuple[int, ...]):
     merged.extend(e1[i:])
     merged.extend(e2[j:])
     return sign, tuple(merged)
+
+
+def _exterior_blocks(terms: dict) -> dict:
+    """Group a term dict by exterior part: {ext: [(pows, coeff), ...]}."""
+    blocks: dict = {}
+    for (ext, pows), c in terms.items():
+        blocks.setdefault(ext, []).append((pows, c))
+    return blocks
 
 
 def _element(p: int, n: int, raw: dict) -> "Element":
@@ -191,19 +201,22 @@ class Element:
         self._check_compatible(other)
         acc: dict = {}
         get = acc.get
-        for (e1, m1), c1 in self.terms.items():
-            for (e2, m2), c2 in other.terms.items():
+        # the left factor is grouped by exterior part, so each part merges
+        # once with each right term and a dead pair skips the whole part
+        right = other.terms.items()
+        for e1, block in _exterior_blocks(self.terms).items():
+            for (e2, m2), c2 in right:
                 if e1 and e2:
                     merged = _merge_ext(e1, e2)
                     if merged is None:
                         continue
                     sign, ext = merged
-                    coef = sign * c1 * c2
+                    c2 *= sign
                 else:
                     ext = e1 or e2
-                    coef = c1 * c2
-                mon = (ext, tuple(a + b for a, b in zip(m1, m2)))
-                acc[mon] = get(mon, 0) + coef
+                for m1, c1 in block:
+                    mon = (ext, tuple(map(add, m1, m2)))
+                    acc[mon] = get(mon, 0) + c1 * c2
         return _element(self.p, self.n, acc)
 
     def __rmul__(self, other):
@@ -237,7 +250,11 @@ class Element:
 
         Division runs separately over each exterior component, by multivariate
         monomial division in graded-lexicographic order; a nonzero remainder
-        raises NotDivisibleError.
+        raises NotDivisibleError.  The remainder is kept as a heap of its
+        monomials with lazy deletion (Monagan and Pearce, "Sparse polynomial
+        division using a heap", J. Symbolic Comput. 46, 2011, after Johnson
+        1974), so each step costs a logarithm in the remainder's size, not a
+        rescan of it.
         """
         self._check_compatible(f)
         if f.is_zero():
@@ -245,11 +262,8 @@ class Element:
         if not f.is_polynomial():
             raise ValueError("divisor must be purely polynomial")
         fpoly = {pows: c for (_, pows), c in f.terms.items()}
-        blocks: dict[tuple[int, ...], dict] = {}
-        for (ext, pows), c in self.terms.items():
-            blocks.setdefault(ext, {})[pows] = c
         acc: dict = {}
-        for ext, block in blocks.items():
+        for ext, block in _exterior_blocks(self.terms).items():
             for pows, c in _poly_divide(block, fpoly, self.p).items():
                 acc[(ext, pows)] = c
         return Element(self.p, self.n, acc)
@@ -280,30 +294,51 @@ class Element:
         return f"Element(p={self.p}, n={self.n}, {str(self)!r})"
 
 
-def _grlex(pows: tuple[int, ...]):
-    return (sum(pows), pows)
+def _heap_entry(pows: tuple[int, ...]):
+    """Min-heap entry that pops the grlex-largest monomial first."""
+    return (-sum(pows), tuple(map(neg, pows)), pows)
 
 
-def _poly_divide(num: dict, den: dict, p: int) -> dict:
-    """Divide one polynomial coefficient dict by another, exactly."""
-    lead = max(den, key=_grlex)
+def _poly_divide(num, den: dict, p: int) -> dict:
+    """Divide one polynomial by another exactly: num is a dict or a list of
+    (exponents, coefficient) pairs, den and the quotient are dicts.
+
+    The remainder's monomials sit in a grlex max-heap, pushed when they enter
+    the remainder and skipped when popped after cancelling (lazy deletion).
+    Grlex is a monomial order, so each reduction adds only monomials below
+    the one it removes: the heap pops the leading terms a rescan would."""
+    lead = min(den, key=_heap_entry)  # the grlex-largest monomial
     lead_inv = field.inv(den[lead], p)
+    # the leading term cancels top exactly, so it stays out of the update loop
+    tail = [(mon, k) for mon, k in den.items() if mon != lead]
     rem = dict(num)
+    heap = [_heap_entry(mon) for mon in rem]
+    heapq.heapify(heap)
+    push, pop = heapq.heappush, heapq.heappop
     quot: dict = {}
-    while rem:
-        top = max(rem, key=_grlex)
-        shift = tuple(a - b for a, b in zip(top, lead))
-        if any(e < 0 for e in shift):
+    while heap:
+        top = pop(heap)[2]
+        c = rem.pop(top, 0)
+        if not c:
+            continue
+        shift = tuple(map(sub, top, lead))
+        if min(shift, default=0) < 0:
             raise NotDivisibleError("nonzero remainder in exact division")
-        c = rem[top] * lead_inv % p
+        c = c * lead_inv % p
         quot[shift] = c
-        for mon, k in den.items():
-            tgt = tuple(a + b for a, b in zip(shift, mon))
-            v = (rem.get(tgt, 0) - c * k) % p
-            if v:
-                rem[tgt] = v
+        for mon, k in tail:
+            tgt = tuple(map(add, shift, mon))
+            v = rem.get(tgt)
+            if v is None:
+                # c and k are units, so a new term never cancels
+                rem[tgt] = -c * k % p
+                push(heap, _heap_entry(tgt))
             else:
-                rem.pop(tgt, None)
+                v = (v - c * k) % p
+                if v:
+                    rem[tgt] = v
+                else:
+                    del rem[tgt]
     return quot
 
 

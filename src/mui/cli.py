@@ -11,11 +11,11 @@ import argparse
 import json
 import sys
 
-from .algebra import Ring
+from .algebra import Element, Ring, monomial_degree
 from .essential import MaximalSubgroup, decompose, ess_basis, restrict, steenrod_closure
-from .invariants import dickson, l_n, mui, mui_set
+from .invariants import dickson, l_n, mui, mui_set, subset_degree
 from .linalg import monomial_basis
-from .steenrod import apply_word, parse_word
+from .steenrod import apply_word, parse_word, word_degree
 from .verify import ConfigError, check_resources, run_all
 
 
@@ -25,6 +25,13 @@ def _ring(args, max_degree: int = 0) -> Ring:
     ring = Ring(args.p, args.n)
     check_resources(ring, max_degree)
     return ring
+
+
+def _check_degree(ring: Ring, y: Element, extra: int = 0) -> None:
+    """Refuse an input whose top term degree plus extra, the largest degree
+    the command builds, exceeds the resource guard of mui.verify."""
+    top = max((monomial_degree(ext, pows, ring.p) for ext, pows in y.terms), default=0)
+    check_resources(ring, top + extra)
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -106,6 +113,7 @@ def _cmd_apply(args) -> int:
     ring = _ring(args)
     word = parse_word(args.word, ring.p)
     y = ring.parse(args.element)
+    _check_degree(ring, y, word_degree(word, ring.p))
     result = apply_word(word, y)
     print(json.dumps({"element": str(result)}) if args.json else result)
     return 0
@@ -117,7 +125,9 @@ def _cmd_restrict(args) -> int:
     form = tuple(int(t) % ring.p for t in args.form.split(","))
     lead = next((c for c in form if c), 1)
     H = MaximalSubgroup(ring, tuple(c * pow(lead, -1, ring.p) % ring.p for c in form))
-    result = restrict(ring.parse(args.element), H)
+    y = ring.parse(args.element)
+    _check_degree(ring, y)
+    result = restrict(y, H)
     print(json.dumps({"element": str(result)}) if args.json else result)
     return 0
 
@@ -139,6 +149,11 @@ def _cmd_ess_basis(args) -> int:
 def _cmd_decompose(args) -> int:
     ring = _ring(args)
     y = ring.parse(args.element)
+    # y * M_T for T of size n - r is the largest product; {1..n-r} has the
+    # largest degree.  A mixed-rank, zero or p = 2 input fails in decompose.
+    rank = min((len(ext) for ext, _ in y.terms), default=ring.n)
+    extra = 0 if ring.mod2 else subset_degree(ring, tuple(range(1, ring.n - rank + 1)))
+    _check_degree(ring, y, extra)
     parts = decompose(y)
     if args.json:
         print(

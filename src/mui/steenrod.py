@@ -129,5 +129,11 @@ def parse_word(text: str, p: int) -> Word:
     return tuple(ops)
 
 
+def word_degree(word: Word, p: int) -> int:
+    """The degree a word adds: 1 for b, k for Sq^k, 2k(p - 1) for P^k."""
+    return sum(1 if op[0] == "b" else op[1] * (1 if op[0] == "Sq" else 2 * (p - 1))
+               for op in word)
+
+
 def format_word(word: Word) -> str:
     return " ".join(op[0] if op[0] == "b" else f"{op[0]}{op[1]}" for op in word)

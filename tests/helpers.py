@@ -4,6 +4,7 @@ the big soak loops, hypothesis strategies for the shrinking property tests)."""
 from __future__ import annotations
 
 import random
+import signal
 import time
 from contextlib import contextmanager
 from itertools import combinations, product
@@ -11,7 +12,9 @@ from itertools import combinations, product
 import numpy as np
 from hypothesis import strategies as st
 
-from mui import Element, Ring, l_n, mui_set
+from mui import Element, NotDivisibleError, Ring, l_n, mui_set
+from mui import field
+from mui.algebra import _element, _merge_ext
 from mui.essential import MaximalSubgroup, maximal_subgroups
 from mui.linalg import left_null_space, monomial_basis
 
@@ -120,6 +123,23 @@ def criterion(number: int, label: str):
           f"({time.perf_counter() - start:.2f}s)")
 
 
+@contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError in a block that runs past seconds, so that a loop
+    which never ends fails its test instead of hanging it (POSIX, main
+    thread)."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 # -- slow reference implementations --------------------------------------
 
 
@@ -145,6 +165,54 @@ def reference_dickson(ring: Ring, r: int) -> Element:
     """c_{n,r}: the coefficient of X^(p^r) in the expansion, times (-1)^(n-r)."""
     coef = fundamental_product(ring).get(ring.p**r, ring.zero())
     return coef if (ring.n - r) % 2 == 0 else -coef
+
+
+def reference_mul(u: Element, v: Element) -> Element:
+    """Reference product: the pairwise term loop, one exterior merge per pair
+    of terms."""
+    acc: dict = {}
+    for (e1, m1), c1 in u.terms.items():
+        for (e2, m2), c2 in v.terms.items():
+            if e1 and e2:
+                merged = _merge_ext(e1, e2)
+                if merged is None:
+                    continue
+                sign, ext = merged
+                coef = sign * c1 * c2
+            else:
+                ext = e1 or e2
+                coef = c1 * c2
+            mon = (ext, tuple(a + b for a, b in zip(m1, m2)))
+            acc[mon] = acc.get(mon, 0) + coef
+    return _element(u.p, u.n, acc)
+
+
+def _grlex(pows: tuple[int, ...]):
+    return (sum(pows), pows)
+
+
+def reference_poly_divide(num: dict, den: dict, p: int) -> dict:
+    """Reference division of exponent-vector dicts: rescan the remainder for
+    its grlex-largest monomial at every step."""
+    lead = max(den, key=_grlex)
+    lead_inv = field.inv(den[lead], p)
+    rem = dict(num)
+    quot: dict = {}
+    while rem:
+        top = max(rem, key=_grlex)
+        shift = tuple(a - b for a, b in zip(top, lead))
+        if any(e < 0 for e in shift):
+            raise NotDivisibleError("nonzero remainder in exact division")
+        c = rem[top] * lead_inv % p
+        quot[shift] = c
+        for mon, k in den.items():
+            tgt = tuple(a + b for a, b in zip(shift, mon))
+            v = (rem.get(tgt, 0) - c * k) % p
+            if v:
+                rem[tgt] = v
+            else:
+                rem.pop(tgt, None)
+    return quot
 
 
 def reference_restrict(y: Element, H: MaximalSubgroup, pivot: int | None = None) -> Element:

@@ -1,10 +1,17 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from mui import Element, INHOMOGENEOUS, NotDivisibleError, ParseError, Ring, ZERO
-from helpers import elements, rand_element
+from mui.algebra import _poly_divide
+from helpers import (
+    elements,
+    rand_element,
+    reference_mul,
+    reference_poly_divide,
+    time_limit,
+)
 
 R32 = Ring(3, 2)
 R33 = Ring(3, 3)
@@ -193,6 +200,72 @@ def test_divide_recovers_random_quotients():
             f = Element(3, 2, {m: c for m, c in f.terms.items() if not m[0]})
         q = rand_element(R32, rng, max_terms=3)
         assert (q * f).exact_divide(f) == q
+
+
+REFERENCE_RINGS = [R32, R33, Ring(5, 2), Ring(2, 3)]
+
+
+def polys(ring: Ring, max_terms: int, min_terms: int = 0):
+    """Polynomials as exponent-vector dicts; exponents are drawn freely, so
+    most draws are inhomogeneous."""
+    return st.dictionaries(
+        st.tuples(*[st.integers(min_value=0, max_value=3)] * ring.n),
+        st.integers(min_value=1, max_value=ring.p - 1),
+        min_size=min_terms,
+        max_size=max_terms,
+    )
+
+
+def lift(ring: Ring, poly: dict) -> Element:
+    return Element(ring.p, ring.n, {((), pows): c for pows, c in poly.items()})
+
+
+def poly_part(y: Element) -> dict:
+    return {pows: c for (_, pows), c in y.terms.items()}
+
+
+def quotient_or_error(divide, num: dict, den: dict, p: int):
+    # a division whose update re-adds the term it just removed never ends
+    try:
+        with time_limit(5):
+            return divide(num, den, p)
+    except NotDivisibleError:
+        return NotDivisibleError
+
+
+@pytest.mark.parametrize("ring", REFERENCE_RINGS)
+@given(data=st.data())
+def test_heap_division_matches_reference(ring, data):
+    q = data.draw(polys(ring, 4))
+    den = data.draw(polys(ring, 3, min_terms=1))
+    num = poly_part(reference_mul(lift(ring, q), lift(ring, den)))
+    assert (quotient_or_error(_poly_divide, num, den, ring.p)
+            == reference_poly_divide(num, den, ring.p) == q)
+    # a perturbed dividend: both raise, or both give the same quotient
+    perturbed = poly_part(lift(ring, num) + lift(ring, data.draw(polys(ring, 2, min_terms=1))))
+    assert (quotient_or_error(_poly_divide, perturbed, den, ring.p)
+            == quotient_or_error(reference_poly_divide, perturbed, den, ring.p))
+
+
+def test_heap_division_pops_in_grlex_order_on_inhomogeneous_input():
+    # lex and grlex disagree on the leading term of x1 + x2^2: a lex heap
+    # would pop x1^3 first, which x2^2 does not divide
+    den = {(1, 0): 1, (0, 2): 1}
+    q = {(2, 0): 2, (0, 3): 1, (1, 1): 1, (0, 0): 2}
+    num = poly_part(reference_mul(lift(R32, q), lift(R32, den)))
+    assert quotient_or_error(_poly_divide, num, den, 3) == reference_poly_divide(num, den, 3) == q
+    num[(5, 0)] = 1
+    assert quotient_or_error(_poly_divide, num, den, 3) is NotDivisibleError
+
+
+@pytest.mark.parametrize("ring", REFERENCE_RINGS)
+@given(data=st.data())
+def test_blocked_product_matches_reference(ring, data):
+    # few generators, so exterior indices collide often
+    u = data.draw(elements(ring, max_terms=5))
+    v = data.draw(elements(ring, max_terms=5))
+    assert u * v == reference_mul(u, v)
+    assert v * u == reference_mul(v, u)
 
 
 def test_power_matches_repeated_product():

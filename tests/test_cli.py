@@ -89,6 +89,31 @@ def test_decompose_command(capsys):
     assert out == "S={1}: x1\nS={2}: x2\n"
 
 
+def test_degree_free_verbs_are_bounded_by_the_degree_they_build(capsys):
+    """apply, restrict and decompose refuse an input whose top term degree,
+    plus the word's degree or the largest deg M_T, exceeds the degree cap."""
+    cases = [
+        # 2 + 2 * 49 * (3 - 1) = 198 runs (P^49 kills x1); 2 + 200 is refused
+        (("apply", "P49", "x1"), (0, "0\n"), ("apply", "P50", "x1")),
+        # the top term decides: x2 + x1^101 has degree 202
+        (("restrict", "x1^100", "--form", "0,1"), (0, "x1^100\n"),
+         ("restrict", "x2 + x1^101", "--form", "0,1")),
+        # deg M_(2,{1}) = 7: 193 + 7 runs and is not essential; 195 + 7 is refused
+        (("decompose", "a1*x1^96"), (2, ""), ("decompose", "a1*x1^97")),
+    ]
+    for ok, expected, over in cases:
+        code, out, err = run_cli(capsys, *ok, "--p", "3", "--n", "2")
+        assert (code, out) == expected
+        assert err in ("", "error: element is not essential\n")
+        code, out, err = run_cli(capsys, *over, "--p", "3", "--n", "2")
+        assert (code, out, err) == (2, "", "error: max degree must lie in 0..200\n")
+    # refused before any work; without the bound it ran past a 20 s timeout
+    code, out, err = run_cli(
+        capsys, "apply", "P1000", "x1^999*x2^998*x3^997*x4^996", "--p", "5", "--n", "4"
+    )
+    assert (code, out, err) == (2, "", "error: max degree must lie in 0..200\n")
+
+
 def test_closure_command(capsys):
     code, out, _ = run_cli(
         capsys, "closure", "a1a2", "--max-degree", "4", "--p", "3", "--n", "2"
