@@ -60,6 +60,12 @@ MAX_BASIS_DIMENSION = 30000
 MAX_DEGREE = 200
 
 
+def check_degree(max_degree: int) -> None:
+    """Reject a degree outside 0..MAX_DEGREE."""
+    if max_degree < 0 or max_degree > MAX_DEGREE:
+        raise ConfigError(f"max degree must lie in 0..{MAX_DEGREE}")
+
+
 def check_resources(ring: Ring, max_degree: int) -> None:
     """Reject configurations whose loops over F_p^n or degreewise bases
     would be too large."""
@@ -75,8 +81,7 @@ def check_resources(ring: Ring, max_degree: int) -> None:
             f"p={ring.p}, n={ring.n} has {points} maximal subgroups "
             f"(cap {MAX_PROJECTIVE_POINTS})"
         )
-    if max_degree < 0 or max_degree > MAX_DEGREE:
-        raise ConfigError(f"max degree must lie in 0..{MAX_DEGREE}")
+    check_degree(max_degree)
     dim = basis_dimension(ring, max_degree)
     if dim > MAX_BASIS_DIMENSION:
         raise ConfigError(

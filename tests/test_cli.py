@@ -91,15 +91,16 @@ def test_decompose_command(capsys):
 
 def test_degree_free_verbs_are_bounded_by_the_degree_they_build(capsys):
     """apply, restrict and decompose refuse an input whose top term degree,
-    plus the word's degree or the largest deg M_T, exceeds the degree cap."""
+    plus the word's degree for apply, lies outside 0..200, and apply no
+    basis cap, since they build no basis."""
     cases = [
         # 2 + 2 * 49 * (3 - 1) = 198 runs (P^49 kills x1); 2 + 200 is refused
         (("apply", "P49", "x1"), (0, "0\n"), ("apply", "P50", "x1")),
         # the top term decides: x2 + x1^101 has degree 202
         (("restrict", "x1^100", "--form", "0,1"), (0, "x1^100\n"),
          ("restrict", "x2 + x1^101", "--form", "0,1")),
-        # deg M_(2,{1}) = 7: 193 + 7 runs and is not essential; 195 + 7 is refused
-        (("decompose", "a1*x1^96"), (2, ""), ("decompose", "a1*x1^97")),
+        # degree 199 runs and is not essential; degree 201 is refused
+        (("decompose", "a1*x1^99"), (2, ""), ("decompose", "a1*x1^100")),
     ]
     for ok, expected, over in cases:
         code, out, err = run_cli(capsys, *ok, "--p", "3", "--n", "2")
@@ -112,6 +113,14 @@ def test_degree_free_verbs_are_bounded_by_the_degree_they_build(capsys):
         capsys, "apply", "P1000", "x1^999*x2^998*x3^997*x4^996", "--p", "5", "--n", "4"
     )
     assert (code, out, err) == (2, "", "error: max degree must lie in 0..200\n")
+    # no dense-basis cap: degree 80 at (3,4) has a basis of about 92k
+    # dimensions, and decompose's products y * M_T reach degree 84 or more
+    # for every essential y there
+    args = ("--p", "3", "--n", "4")
+    assert run_cli(capsys, "restrict", "x1^40", "--form", "0,0,0,1", *args) == (
+        0, "x1^40\n", "")
+    assert run_cli(capsys, "decompose", "a1*a2*a3*a4", *args) == (
+        0, "S={1,2,3,4}: 1\n", "")
 
 
 def test_closure_command(capsys):
