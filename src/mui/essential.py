@@ -21,11 +21,11 @@ from . import field
 from .algebra import Element, NotDivisibleError, Ring, ZERO, _element
 from .invariants import l_n, mui_set, product_sign
 from .linalg import (
-    DegreeBasis,
     DegreeSpan,
     SpanBuilder,
-    kernel_of_map,
+    _compositions,
     monomial_basis,
+    pruned_null_space,
     zero_span,
 )
 from .steenrod import bockstein, power_op
@@ -71,8 +71,8 @@ class MaximalSubgroup:
 
     @cached_property
     def _images(self) -> tuple[dict, dict]:
-        """Caches that restrict fills on demand: pivot power images keyed by
-        e, exterior images keyed by E."""
+        """Caches of _pivot_power keyed by e and of _exterior_image keyed by
+        E, filled on demand."""
         return {}, {}
 
 
@@ -99,19 +99,27 @@ def _generator_image(H: MaximalSubgroup, i: int, gen) -> Element:
 
 
 def _pivot_power(H: MaximalSubgroup, e: int) -> tuple:
-    """Image of x_pivot^e as (exponent vector, coefficient) pairs."""
-    img = _generator_image(H, H.pivot, H.subring.x) ** e
-    return tuple((pows, c) for (_, pows), c in img.terms.items())
+    """Image of x_pivot^e as (exponent vector, coefficient) pairs, cached on
+    the subgroup."""
+    powers = H._images[0]
+    if e not in powers:
+        img = _generator_image(H, H.pivot, H.subring.x) ** e
+        powers[e] = tuple((pows, c) for (_, pows), c in img.terms.items())
+    return powers[e]
 
 
 def _exterior_image(H: MaximalSubgroup, ext: tuple[int, ...]) -> tuple:
     """Image of the exterior monomial a_ext as (index tuple, coefficient)
-    pairs; the ordered product carries the Koszul signs."""
-    sub = H.subring
-    img = sub.one()
-    for i in ext:
-        img = img * _generator_image(H, i - 1, sub.a)
-    return tuple((idx, c) for (idx, _), c in img.terms.items())
+    pairs, cached on the subgroup; the ordered product carries the Koszul
+    signs."""
+    exteriors = H._images[1]
+    if ext not in exteriors:
+        sub = H.subring
+        img = sub.one()
+        for i in ext:
+            img = img * _generator_image(H, i - 1, sub.a)
+        exteriors[ext] = tuple((idx, c) for (idx, _), c in img.terms.items())
+    return exteriors[ext]
 
 
 def restrict(y: Element, H: MaximalSubgroup) -> Element:
@@ -124,20 +132,14 @@ def restrict(y: Element, H: MaximalSubgroup) -> Element:
     if (y.p, y.n) != (H.ring.p, H.ring.n):
         raise ValueError("element and subgroup live over different rings")
     j = H.pivot
-    powers, exteriors = H._images
     acc: dict = {}
     get = acc.get
     for (ext, pows), c in y.terms.items():
-        ext_img = exteriors.get(ext)
-        if ext_img is None:
-            ext_img = exteriors[ext] = _exterior_image(H, ext)
+        ext_img = _exterior_image(H, ext)
         if not ext_img:
             continue
-        shifts = powers.get(pows[j])
-        if shifts is None:
-            shifts = powers[pows[j]] = _pivot_power(H, pows[j])
         kept = pows[:j] + pows[j + 1:]
-        for shift, k in shifts:
+        for shift, k in _pivot_power(H, pows[j]):
             mon = tuple(map(add, kept, shift))
             ck = c * k
             for idx, s in ext_img:
@@ -152,28 +154,71 @@ def is_essential(y: Element) -> bool:
     return all(restrict(y, H).is_zero() for H in maximal_subgroups(ring))
 
 
+def _restriction_matrix(ring: Ring, r: int, k: int) -> np.ndarray:
+    """Restriction to every maximal subgroup on the run of rank-r monomials
+    a_E x^m with |m| = k, E-major and m in _compositions order: one
+    codomain x domain block per subgroup, stacked in subgroup order.
+
+    Restriction is an algebra map, so the block is the Kronecker product of
+    the exterior image matrix (columns a_E) and the polynomial image matrix
+    (columns x^m).  x^m goes to its kept exponents shifted by each term of
+    the image of x_pivot^(m_pivot); a mixed-radix key with the first
+    coordinate most significant finds each target among the codomain
+    exponents, which descend in that key."""
+    n, p = ring.n, ring.p
+    subs = maximal_subgroups(ring)
+    exts = list(combinations(range(1, n + 1), r))
+    sub_exts = {ext: i for i, ext in enumerate(combinations(range(1, n), r))}
+    dom = np.array(list(_compositions(k, n)), dtype=np.int64)
+    cod = np.array(list(_compositions(k, n - 1)) or np.zeros((0, 0)), dtype=np.int64)
+    if (k + 1) ** (n - 1) > np.iinfo(np.int64).max:
+        raise ValueError(f"exponent keys of degree {k} in {n - 1} variables overflow int64")
+    radix = (k + 1) ** np.arange(n - 2, -1, -1, dtype=np.int64)
+    ascending = (cod @ radix)[::-1]
+    height = len(sub_exts) * len(cod)
+    mat = np.empty((len(subs) * height, len(exts) * len(dom)), dtype=np.int64)
+    if not height:  # the top rank, or n = 1 above degree 0: every image is 0
+        return mat
+    for h, H in enumerate(subs):
+        ext_mat = np.zeros((len(sub_exts), len(exts)), dtype=np.int64)
+        for col, ext in enumerate(exts):
+            for idx, c in _exterior_image(H, ext):
+                ext_mat[sub_exts[idx], col] = c
+        poly_mat = np.zeros((len(cod), len(dom)), dtype=np.int64)
+        j = H.pivot
+        kept = np.delete(dom, j, axis=1)
+        for e in range(k + 1):
+            cols = np.flatnonzero(dom[:, j] == e)
+            shifts = _pivot_power(H, e)
+            vecs = np.array([vec for vec, _ in shifts], dtype=np.int64).reshape(len(shifts), n - 1)
+            rows = len(cod) - 1 - np.searchsorted(ascending, (kept[cols, None, :] + vecs) @ radix)
+            poly_mat[rows, cols[:, None]] = [c for _, c in shifts]
+        np.remainder(np.kron(ext_mat, poly_mat), p, out=mat[h * height:(h + 1) * height])
+    return mat
+
+
 @lru_cache(maxsize=None)
 def _ess_data(ring: Ring, degree: int):
     """(kernel span, {exterior rank: kernel span}) of all restrictions on one
     degree, both in the coordinates of the whole degree.
 
     Restriction preserves exterior rank, so the joint kernel is computed once
-    per rank.  Each rank is a contiguous run of the basis, and the runs come
-    in basis order, so stacking the pieces in that order is already the RREF
-    of the whole kernel."""
+    per rank, from the Kronecker blocks of _restriction_matrix.  Each rank is
+    a contiguous run of the basis, and the runs come in basis order, so
+    stacking the pieces in that order is already the RREF of the whole
+    kernel."""
     basis = monomial_basis(ring, degree)
-    subs = maximal_subgroups(ring)
     by_rank: dict[int, DegreeSpan] = {}
     full = np.zeros((0, len(basis)), dtype=np.int64)
     for r, run in groupby(basis.monomials, key=lambda mon: len(mon.ext)):
         mons = tuple(run)
-        gens = [Element(ring.p, ring.n, {tuple(mon): 1}) for mon in mons]
-        kernel = kernel_of_map(
-            DegreeBasis(ring, degree, mons), *([restrict(y, H) for y in gens] for H in subs)
-        )
-        rows = np.zeros((kernel.dim, len(basis)), dtype=np.int64)
+        k = degree if ring.mod2 else (degree - r) // 2
+        exts = combinations(range(1, ring.n + 1), r)
+        assert mons == tuple(product(exts, _compositions(k, ring.n))), "not the block column order"
+        kernel = pruned_null_space(_restriction_matrix(ring, r, k), ring.p)
+        rows = np.zeros((len(kernel), len(basis)), dtype=np.int64)
         start = basis.index_of(mons[0])
-        rows[:, start:start + len(mons)] = kernel.rows
+        rows[:, start:start + len(mons)] = kernel
         by_rank[r] = DegreeSpan(ring.p, degree, rows)
         full = np.vstack([full, rows])
     return DegreeSpan(ring.p, degree, full), by_rank

@@ -234,35 +234,18 @@ def span_of(ring: Ring, degree: int, elements) -> DegreeSpan:
     return DegreeSpan(ring.p, degree, rref(np.array(rows), ring.p))
 
 
-def kernel_of_map(domain: DegreeBasis, *maps) -> DegreeSpan:
-    """Joint kernel of linear maps on one graded piece, in domain coordinates.
-
-    Each map is given by the images of domain.monomials, in order.  The
-    matrix has one column per (map, codomain monomial) pair that occurs in
-    some image, so no codomain basis is enumerated; with no nonzero image
-    the kernel is the whole domain.
+def pruned_null_space(mat: np.ndarray, p: int) -> np.ndarray:
+    """RREF basis of {v : mat @ v = 0 mod p}, mat reduced mod p.
 
     Coordinates forced to zero are pruned before elimination, as in the
     first phase of structured Gaussian elimination (LaMacchia and Odlyzko,
-    CRYPTO '90): a pair hit by exactly one live domain monomial makes that
-    coordinate 0 in every kernel vector, repeatedly until no such pair is
-    left.  Zero columns put back into the RREF of the live part keep it
-    the RREF of the whole kernel."""
-    columns: dict = {}
-    cols, rows, vals = [], [], []
-    for k, images in enumerate(maps):
-        if len(images) != len(domain):
-            raise ValueError("one image per domain monomial required")
-        for i, y in enumerate(images):
-            for mon, c in y.terms.items():
-                cols.append(columns.setdefault((k, mon), len(columns)))
-                rows.append(i)
-                vals.append(c)
-    # built transposed: the kernel is the null space of the image matrix
-    mat = np.zeros((len(columns), len(domain)), dtype=np.int64)
-    mat[cols, rows] = vals
+    CRYPTO '90): a row with exactly one nonzero entry on the live columns
+    makes that coordinate 0 in every kernel vector, repeatedly until no such
+    row is left.  Rows with no live entry, zero rows among them, drop out.
+    Zero columns put back into the RREF of the live part keep it the RREF
+    of the whole kernel."""
     nonzero = mat != 0
-    live = np.ones(len(domain), dtype=bool)
+    live = np.ones(mat.shape[1], dtype=bool)
     count = nonzero.sum(axis=1)
     while (single := count == 1).any():
         forced = np.unique((nonzero[single] & live).argmax(axis=1))
@@ -270,10 +253,33 @@ def kernel_of_map(domain: DegreeBasis, *maps) -> DegreeSpan:
         count -= nonzero[:, forced].sum(axis=1)
     sub = np.zeros((0, 0), dtype=np.int64)
     if live.any():
-        sub = null_space(mat[np.ix_(count > 0, live)], domain.ring.p)
-    kernel = np.zeros((len(sub), len(domain)), dtype=np.int64)
+        sub = null_space(mat[np.ix_(count > 0, live)], p)
+    kernel = np.zeros((len(sub), mat.shape[1]), dtype=np.int64)
     kernel[:, live] = sub
-    return DegreeSpan(domain.ring.p, domain.degree, kernel)
+    return kernel
+
+
+def kernel_of_map(domain: DegreeBasis, *maps) -> DegreeSpan:
+    """Joint kernel of linear maps on one graded piece, in domain coordinates.
+
+    Each map is given by the images of domain.monomials, in order.  The
+    matrix has one row per (map, codomain monomial) pair that occurs in
+    some image, so no codomain basis is enumerated; with no nonzero image
+    the kernel is the whole domain."""
+    rows: dict = {}
+    pairs, cols, vals = [], [], []
+    for k, images in enumerate(maps):
+        if len(images) != len(domain):
+            raise ValueError("one image per domain monomial required")
+        for i, y in enumerate(images):
+            for mon, c in y.terms.items():
+                pairs.append(rows.setdefault((k, mon), len(rows)))
+                cols.append(i)
+                vals.append(c)
+    mat = np.zeros((len(rows), len(domain)), dtype=np.int64)
+    mat[pairs, cols] = vals
+    p = domain.ring.p
+    return DegreeSpan(p, domain.degree, pruned_null_space(mat, p))
 
 
 class SpanBuilder:

@@ -7,7 +7,7 @@ import random
 import signal
 import time
 from contextlib import contextmanager
-from itertools import combinations, product
+from itertools import combinations, groupby, product
 
 import numpy as np
 from hypothesis import strategies as st
@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from mui import Element, NotDivisibleError, Ring, l_n, mui_set
 from mui import field
 from mui.algebra import _element, _merge_ext
-from mui.essential import MaximalSubgroup, maximal_subgroups
-from mui.linalg import left_null_space, monomial_basis
+from mui.essential import MaximalSubgroup, maximal_subgroups, restrict
+from mui.linalg import DegreeBasis, kernel_of_map, left_null_space, monomial_basis
 
 
 def rand_element(ring: Ring, rng: random.Random, max_terms: int = 4,
@@ -288,3 +288,23 @@ def reference_ess_basis(ring: Ring, d: int, pivot=None) -> np.ndarray:
                 block[r] = cod.coords(img)
         blocks.append(block)
     return left_null_space(np.hstack(blocks), ring.p)
+
+
+def reference_ess_by_rank(ring: Ring, d: int) -> dict[int, np.ndarray]:
+    """Reference for ess_basis_by_rank: for each exterior rank, one restrict
+    image of a one-term element per (basis monomial, subgroup), joined by
+    kernel_of_map, in the coordinates of the whole degree."""
+    basis = monomial_basis(ring, d)
+    subs = maximal_subgroups(ring)
+    by_rank = {}
+    for r, run in groupby(basis.monomials, key=lambda mon: len(mon.ext)):
+        mons = tuple(run)
+        gens = [ring.monomial(mon.ext, mon.pows) for mon in mons]
+        kernel = kernel_of_map(
+            DegreeBasis(ring, d, mons), *([restrict(y, H) for y in gens] for H in subs)
+        )
+        rows = np.zeros((kernel.dim, len(basis)), dtype=np.int64)
+        start = basis.index_of(mons[0])
+        rows[:, start:start + len(mons)] = kernel.rows
+        by_rank[r] = rows
+    return by_rank

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, groupby
 
 import numpy as np
 import pytest
@@ -23,6 +23,7 @@ from mui import (
 )
 from mui import essential
 from mui.essential import MaximalSubgroup, proof_word, projective_forms
+from mui.linalg import DegreeBasis
 from mui.steenrod import apply_word
 from helpers import (
     all_subsets,
@@ -31,6 +32,7 @@ from helpers import (
     rand_element,
     rand_poly,
     reference_ess_basis,
+    reference_ess_by_rank,
     reference_is_essential,
     reference_restrict,
 )
@@ -152,14 +154,70 @@ def test_ess_dimensions_match_free_module_counts():
                 assert actual == predicted, (ring, d, r)
 
 
-@pytest.mark.parametrize("p,n,top", [(3, 2, 10), (5, 2, 10), (3, 3, 12)])
+@pytest.mark.parametrize(
+    "p,n,top",
+    [(3, 2, 10), (5, 2, 10), (3, 3, 12), (2, 3, 10), (2, 4, 8), (3, 1, 8), (2, 1, 8), (7, 2, 14)],
+)
 def test_ess_basis_matches_dense_reference(p, n, top):
     # at (3,3) most degrees mix exterior ranks, so the per-rank kernels and
-    # their pivot-ordered union are checked against one full kernel
+    # their pivot-ordered union are checked against one full kernel; p = 2
+    # has no exterior factor, n = 1 restricts to the rank-0 ring, and the
+    # top exterior rank restricts to nothing
     ring = Ring(p, n)
     for d in range(top + 1):
         expected = reference_ess_basis(ring, d)
         assert np.array_equal(expected, ess_basis(ring, d).rows), (p, n, d)
+
+
+@pytest.mark.parametrize(
+    "p,n,top", [(3, 2, 14), (3, 3, 14), (5, 2, 10), (2, 2, 10), (2, 3, 10), (2, 4, 8)]
+)
+def test_ess_by_rank_matches_per_monomial_reference(p, n, top):
+    # the configurations of scripts/run_verification.py, at lower degree
+    # bounds: the Kronecker blocks give the kernels of the one-term images
+    ring = Ring(p, n)
+    for d in range(top + 1):
+        got = ess_basis_by_rank(ring, d)
+        expected = reference_ess_by_rank(ring, d)
+        assert got.keys() == expected.keys(), (p, n, d)
+        for r, rows in expected.items():
+            assert np.array_equal(rows, got[r].rows), (p, n, d, r)
+
+
+@pytest.mark.parametrize(
+    "p,n,top", [(3, 2, 9), (3, 3, 8), (5, 2, 9), (2, 3, 6), (2, 4, 5), (3, 1, 6), (2, 1, 6)]
+)
+def test_restriction_block_matches_restrict(p, n, top):
+    # column i of a subgroup's block is the image of the i-th monomial of the
+    # rank run, in the coordinates of the same run of the subring; the
+    # reference restriction pins the exterior signs both of them read
+    ring = Ring(p, n)
+    subs = maximal_subgroups(ring)
+    for d in range(top + 1):
+        for r, run in groupby(monomial_basis(ring, d).monomials, key=lambda mon: len(mon.ext)):
+            mons = tuple(run)
+            k = d if ring.mod2 else (d - r) // 2
+            blocks = np.split(essential._restriction_matrix(ring, r, k), len(subs))
+            for H, block in zip(subs, blocks):
+                cod = monomial_basis(H.subring, d).monomials
+                cod = DegreeBasis(H.subring, d, tuple(m for m in cod if len(m.ext) == r))
+                assert block.shape == (len(cod), len(mons)), (H, d, r)
+                for col, mon in zip(block.T, mons):
+                    y = ring.monomial(mon.ext, mon.pows)
+                    img = restrict(y, H)
+                    assert img == reference_restrict(y, H), (H, mon)
+                    assert np.array_equal(col, cod.coords(img)), (H, mon)
+
+
+def test_ess_basis_makes_no_restriction(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("restrict called while building Ess")
+
+    monkeypatch.setattr(essential, "restrict", refuse)
+    essential._ess_data.cache_clear()
+    for ring, top in ((R33, 12), (Ring(2, 4), 8)):
+        for d in range(top + 1):
+            assert np.array_equal(reference_ess_basis(ring, d), ess_basis(ring, d).rows), (ring, d)
 
 
 def test_ess_basis_independent_of_complement_choice():
