@@ -99,8 +99,7 @@ def _generator_image(H: MaximalSubgroup, i: int, gen) -> Element:
 
 
 def _pivot_power(H: MaximalSubgroup, e: int) -> tuple:
-    """Image of x_pivot^e as (exponent vector, coefficient) pairs, cached on
-    the subgroup."""
+    """Image of x_pivot^e as (exponent vector, coefficient) pairs, cached."""
     powers = H._images[0]
     if e not in powers:
         img = _generator_image(H, H.pivot, H.subring.x) ** e
@@ -110,8 +109,7 @@ def _pivot_power(H: MaximalSubgroup, e: int) -> tuple:
 
 def _exterior_image(H: MaximalSubgroup, ext: tuple[int, ...]) -> tuple:
     """Image of the exterior monomial a_ext as (index tuple, coefficient)
-    pairs, cached on the subgroup; the ordered product carries the Koszul
-    signs."""
+    pairs, cached; the ordered product carries the Koszul signs."""
     exteriors = H._images[1]
     if ext not in exteriors:
         sub = H.subring
@@ -161,10 +159,11 @@ def _restriction_matrix(ring: Ring, r: int, k: int) -> np.ndarray:
 
     Restriction is an algebra map, so the block is the Kronecker product of
     the exterior image matrix (columns a_E) and the polynomial image matrix
-    (columns x^m).  x^m goes to its kept exponents shifted by each term of
-    the image of x_pivot^(m_pivot); a mixed-radix key with the first
-    coordinate most significant finds each target among the codomain
-    exponents, which descend in that key."""
+    (columns x^m), written in place as a broadcast product.  x^m goes to
+    its kept exponents shifted by each term of the image of
+    x_pivot^(m_pivot), all columns expanded at once; a mixed-radix key with
+    the first coordinate most significant finds each target among the
+    codomain exponents, which descend in that key."""
     n, p = ring.n, ring.p
     subs = maximal_subgroups(ring)
     exts = list(combinations(range(1, n + 1), r))
@@ -184,16 +183,22 @@ def _restriction_matrix(ring: Ring, r: int, k: int) -> np.ndarray:
         for col, ext in enumerate(exts):
             for idx, c in _exterior_image(H, ext):
                 ext_mat[sub_exts[idx], col] = c
+        images = [_pivot_power(H, e) for e in range(k + 1)]
+        sizes = np.array([len(img) for img in images])
+        coefs = np.array([c for img in images for _, c in img], dtype=np.int64)
+        vecs = np.array([vec for img in images for vec, _ in img], dtype=np.int64)
+        # one (column, term of its pivot power's image) pair per target
+        e = dom[:, H.pivot]
+        counts = sizes[e]
+        cols = np.repeat(np.arange(len(dom)), counts)
+        first = (np.cumsum(sizes) - sizes)[e] - (np.cumsum(counts) - counts)
+        terms = np.arange(len(cols)) + np.repeat(first, counts)
+        keys = (np.delete(dom, H.pivot, axis=1)[cols] + vecs[terms]) @ radix
         poly_mat = np.zeros((len(cod), len(dom)), dtype=np.int64)
-        j = H.pivot
-        kept = np.delete(dom, j, axis=1)
-        for e in range(k + 1):
-            cols = np.flatnonzero(dom[:, j] == e)
-            shifts = _pivot_power(H, e)
-            vecs = np.array([vec for vec, _ in shifts], dtype=np.int64).reshape(len(shifts), n - 1)
-            rows = len(cod) - 1 - np.searchsorted(ascending, (kept[cols, None, :] + vecs) @ radix)
-            poly_mat[rows, cols[:, None]] = [c for _, c in shifts]
-        np.remainder(np.kron(ext_mat, poly_mat), p, out=mat[h * height:(h + 1) * height])
+        poly_mat[len(cod) - 1 - np.searchsorted(ascending, keys), cols] = coefs[terms]
+        block = mat[h * height:(h + 1) * height].reshape(len(sub_exts), len(cod), -1, len(dom))
+        np.multiply(ext_mat[:, None, :, None], poly_mat[None, :, None, :], out=block)
+        np.remainder(block, p, out=block)
     return mat
 
 
@@ -203,10 +208,9 @@ def _ess_data(ring: Ring, degree: int):
     degree, both in the coordinates of the whole degree.
 
     Restriction preserves exterior rank, so the joint kernel is computed once
-    per rank, from the Kronecker blocks of _restriction_matrix.  Each rank is
-    a contiguous run of the basis, and the runs come in basis order, so
-    stacking the pieces in that order is already the RREF of the whole
-    kernel."""
+    per rank.  Each rank is a contiguous run of the basis, and the runs come
+    in basis order, so stacking the pieces in that order is already the RREF
+    of the whole kernel."""
     basis = monomial_basis(ring, degree)
     by_rank: dict[int, DegreeSpan] = {}
     full = np.zeros((0, len(basis)), dtype=np.int64)

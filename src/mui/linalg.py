@@ -235,15 +235,10 @@ def span_of(ring: Ring, degree: int, elements) -> DegreeSpan:
 
 
 def pruned_null_space(mat: np.ndarray, p: int) -> np.ndarray:
-    """RREF basis of {v : mat @ v = 0 mod p}, mat reduced mod p.
-
-    Coordinates forced to zero are pruned before elimination, as in the
-    first phase of structured Gaussian elimination (LaMacchia and Odlyzko,
-    CRYPTO '90): a row with exactly one nonzero entry on the live columns
-    makes that coordinate 0 in every kernel vector, repeatedly until no such
-    row is left.  Rows with no live entry, zero rows among them, drop out.
-    Zero columns put back into the RREF of the live part keep it the RREF
-    of the whole kernel."""
+    """RREF basis of {v : mat @ v = 0 mod p}.  First, as in structured
+    Gaussian elimination (LaMacchia and Odlyzko, CRYPTO '90), each row with
+    one nonzero entry on the live columns forces that coordinate to 0, until
+    none is left; zero columns put back into the RREF of the rest keep it RREF."""
     nonzero = mat != 0
     live = np.ones(mat.shape[1], dtype=bool)
     count = nonzero.sum(axis=1)
@@ -278,8 +273,7 @@ def kernel_of_map(domain: DegreeBasis, *maps) -> DegreeSpan:
                 vals.append(c)
     mat = np.zeros((len(rows), len(domain)), dtype=np.int64)
     mat[pairs, cols] = vals
-    p = domain.ring.p
-    return DegreeSpan(p, domain.degree, pruned_null_space(mat, p))
+    return DegreeSpan(domain.ring.p, domain.degree, pruned_null_space(mat, domain.ring.p))
 
 
 class SpanBuilder:
