@@ -163,8 +163,12 @@ def _restriction_matrix(ring: Ring, r: int, k: int) -> np.ndarray:
     its kept exponents shifted by each term of the image of
     x_pivot^(m_pivot), all columns expanded at once; a mixed-radix key with
     the first coordinate most significant finds each target among the
-    codomain exponents, which descend in that key."""
-    n, p = ring.n, ring.p
+    codomain exponents, which descend in that key.
+
+    Entries are not reduced mod p.  Each is a product of two residues in
+    0..p-1, at most (p - 1)^2, and p is prime, so it is nonzero exactly when
+    it is nonzero mod p, as pruned_null_space requires."""
+    n = ring.n
     subs = maximal_subgroups(ring)
     exts = list(combinations(range(1, n + 1), r))
     sub_exts = {ext: i for i, ext in enumerate(combinations(range(1, n), r))}
@@ -198,7 +202,6 @@ def _restriction_matrix(ring: Ring, r: int, k: int) -> np.ndarray:
         poly_mat[len(cod) - 1 - np.searchsorted(ascending, keys), cols] = coefs[terms]
         block = mat[h * height:(h + 1) * height].reshape(len(sub_exts), len(cod), -1, len(dom))
         np.multiply(ext_mat[:, None, :, None], poly_mat[None, :, None, :], out=block)
-        np.remainder(block, p, out=block)
     return mat
 
 

@@ -16,7 +16,8 @@ import numpy as np
 from .algebra import Element, Monomial, Ring, _element, term_key
 
 
-# Products of two residues must fit in int64: (p - 1)^2 < 2^63.
+# One elimination step moves an entry by at most (p - 1)^2, which must fit
+# in int64 beside a residue: (p - 1)^2 < 2^63 - p.
 MAX_PRIME = 2**31
 
 
@@ -26,30 +27,50 @@ def _check_int64_prime(p: int) -> None:
 
 
 def rref(mat: np.ndarray, p: int) -> np.ndarray:
-    """Reduced row echelon form over F_p, zero rows dropped."""
+    """Reduced row echelon form over F_p, zero rows dropped.
+
+    Any integer matrix is accepted; it is reduced mod p once.  Reduction is
+    then delayed (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008): each step
+    reduces only the pivot column and the pivot row it reads, and subtracts
+    from the hit rows without reducing them.  A step moves an entry by at
+    most (p - 1)^2, so the whole matrix is reduced only after `budget` steps,
+    before int64 could overflow, and once more on the returned rows."""
     _check_int64_prime(p)
-    m = np.array(mat, dtype=np.int64) % p
+    m = np.array(mat, dtype=np.int64)
+    m %= p
+    budget = max(1, (2**63 - 1 - p) // (p - 1) ** 2)
     n_rows, n_cols = m.shape
-    r = 0
+    r = steps = 0
     for c in range(n_cols):
         if r == n_rows:
             break
-        below = np.nonzero(m[r:, c])[0]
+        col = m[:, c]
+        col %= p
+        below = np.flatnonzero(col[r:])
         if not len(below):
             continue
         pivot = r + int(below[0])
         if pivot != r:
             m[[r, pivot]] = m[[pivot, r]]
-        v = int(m[r, c])
+        row = m[r, c:]
+        row %= p
+        v = int(row[0])
         if v != 1:
-            m[r, c:] = m[r, c:] * pow(v, -1, p) % p
-        hit = np.nonzero(m[:, c])[0]
+            row *= pow(v, -1, p)
+            row %= p
+        hit = np.flatnonzero(col)
         hit = hit[hit != r]
         if len(hit):
+            if steps == budget:
+                m %= p
+                steps = 0
             # row r is zero left of its pivot, so columns < c are untouched
-            m[hit, c:] = (m[hit, c:] - np.outer(m[hit, c], m[r, c:])) % p
+            m[hit, c:] -= np.outer(col[hit], row)
+            steps += 1
         r += 1
-    return m[:r]
+    out = m[:r]
+    out %= p
+    return out
 
 
 def _pivots(rows: np.ndarray) -> np.ndarray:
@@ -238,7 +259,10 @@ def pruned_null_space(mat: np.ndarray, p: int) -> np.ndarray:
     """RREF basis of {v : mat @ v = 0 mod p}.  First, as in structured
     Gaussian elimination (LaMacchia and Odlyzko, CRYPTO '90), each row with
     one nonzero entry on the live columns forces that coordinate to 0, until
-    none is left; zero columns put back into the RREF of the rest keep it RREF."""
+    none is left; zero columns put back into the RREF of the rest keep it RREF.
+
+    mat need not be reduced mod p, but each entry must be nonzero exactly
+    when it is nonzero mod p: the pruning reads mat != 0, and rref reduces."""
     nonzero = mat != 0
     live = np.ones(mat.shape[1], dtype=bool)
     count = nonzero.sum(axis=1)

@@ -16,7 +16,7 @@ from mui import Element, NotDivisibleError, Ring, l_n, mui_set
 from mui import field
 from mui.algebra import _element, _merge_ext
 from mui.essential import MaximalSubgroup, maximal_subgroups, restrict
-from mui.linalg import DegreeBasis, kernel_of_map, left_null_space, monomial_basis
+from mui.linalg import DegreeBasis, kernel_of_map, monomial_basis
 
 
 def rand_element(ring: Ring, rng: random.Random, max_terms: int = 4,
@@ -271,11 +271,50 @@ def last_nonzero(form: tuple[int, ...]) -> int:
     return max(i for i, c in enumerate(form) if c)
 
 
+def reference_rref(mat, p: int) -> np.ndarray:
+    """Reference for linalg.rref: the eager elimination, which reduces every
+    entry it changes mod p after each pivot."""
+    m = np.array(mat, dtype=np.int64) % p
+    n_rows, n_cols = m.shape
+    r = 0
+    for c in range(n_cols):
+        if r == n_rows:
+            break
+        below = np.nonzero(m[r:, c])[0]
+        if not len(below):
+            continue
+        pivot = r + int(below[0])
+        if pivot != r:
+            m[[r, pivot]] = m[[pivot, r]]
+        v = int(m[r, c])
+        if v != 1:
+            m[r, c:] = m[r, c:] * pow(v, -1, p) % p
+        hit = np.nonzero(m[:, c])[0]
+        hit = hit[hit != r]
+        if len(hit):
+            m[hit, c:] = (m[hit, c:] - np.outer(m[hit, c], m[r, c:])) % p
+        r += 1
+    return m[:r]
+
+
+def reference_null_space(mat, p: int) -> np.ndarray:
+    """Reference for linalg.null_space: one basis vector per free column of
+    reference_rref, brought to RREF by reference_rref."""
+    mat = np.asarray(mat, dtype=np.int64)
+    reduced = reference_rref(mat, p)
+    pivots = [int(np.nonzero(row)[0][0]) for row in reduced]
+    free = [c for c in range(mat.shape[1]) if c not in pivots]
+    basis = np.zeros((len(free), mat.shape[1]), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = -reduced[:, free].T % p
+    return reference_rref(basis, p)
+
+
 def reference_ess_basis(ring: Ring, d: int, pivot=None) -> np.ndarray:
     """Reference for ess_basis: one dense block per maximal subgroup over the
     whole codomain basis, filled by reference_restrict with the form solved
     at pivot(form) (default its leading coordinate), and one left kernel of
-    the stack of all blocks."""
+    the stack of all blocks, taken by reference_null_space."""
     basis = monomial_basis(ring, d)
     blocks = []
     for H in maximal_subgroups(ring):
@@ -287,7 +326,7 @@ def reference_ess_basis(ring: Ring, d: int, pivot=None) -> np.ndarray:
             if img:
                 block[r] = cod.coords(img)
         blocks.append(block)
-    return left_null_space(np.hstack(blocks), ring.p)
+    return reference_null_space(np.hstack(blocks).T, ring.p)
 
 
 def reference_ess_by_rank(ring: Ring, d: int) -> dict[int, np.ndarray]:

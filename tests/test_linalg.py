@@ -7,7 +7,7 @@ from mui import Ring, basis_dimension, kernel_of_map, monomial_basis, span_of
 from mui import linalg
 from mui.essential import maximal_subgroups, restrict
 from mui.linalg import SpanBuilder, left_null_space, null_space, rref
-from helpers import rand_homogeneous
+from helpers import rand_homogeneous, reference_null_space, reference_rref
 
 R32 = Ring(3, 2)
 
@@ -227,6 +227,19 @@ def test_pruned_kernel_matches_dense_null_space(ring, monkeypatch):
     assert np.array_equal(kernel.rows, null_space(mat, ring.p))
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 65537])
+def test_pruned_null_space_of_unreduced_products(p):
+    # each entry a product of two residues, as in a restriction block: the
+    # kernel must be that of the reduced matrix, pruning included
+    rng = random.Random(p)
+    for _ in range(40):
+        n_rows, n_cols = rng.randrange(1, 30), rng.randrange(1, 20)
+        chain = rng.sample(range(n_cols), rng.randrange(min(n_cols, n_rows) + 1))
+        mat = sparse_with_cascade(rng, p, n_rows, n_cols, chain)
+        mat *= np.array([rng.randrange(1, p) for _ in range(mat.size)]).reshape(mat.shape)
+        assert np.array_equal(linalg.pruned_null_space(mat, p), reference_null_space(mat % p, p))
+
+
 def test_fully_forced_domain_skips_elimination(monkeypatch):
     def refuse(mat, p):
         raise AssertionError("null_space called on a fully forced domain")
@@ -266,6 +279,31 @@ def test_rref_is_canonical():
             col = r[:, c]
             assert col[i] == 1 and not any(col[j] for j in range(len(r)) if j != i)
         assert np.array_equal(rref(r, 3), r)
+
+
+def low_rank(rng, p, n_rows, n_cols, rank):
+    """A reduced n_rows x n_cols matrix of rank at most rank over F_p."""
+    left = rng.integers(0, p, (n_rows, rank)).astype(object)
+    right = rng.integers(0, p, (rank, n_cols)).astype(object)
+    return (left.dot(right) % p).astype(np.int64).reshape(n_rows, n_cols)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 65537, 2**31 - 1])
+def test_rref_and_null_space_match_eager_reference(p):
+    # rref delays its reduction mod p; at 2^31 - 1 its budget is two steps,
+    # so the whole matrix is reduced again every other pivot
+    rng = np.random.default_rng(p)
+    shapes = [(0, 0), (0, 6), (6, 0), (7, 9), (9, 7), (24, 24), (96, 12), (160, 20)]
+    for n_rows, n_cols in shapes:
+        for rank in sorted({0, 1, 2, min(n_rows, n_cols) // 2, min(n_rows, n_cols)}):
+            mat = low_rank(rng, p, n_rows, n_cols, rank)
+            # the same matrix mod p with entries up to about p^2, and the
+            # products of two residues (up to (p - 1)^2) of a restriction block
+            lifted = mat + p * rng.integers(0, p - 1, mat.shape)
+            products = mat * rng.integers(1, p, mat.shape)
+            for case in (mat, lifted, products):
+                assert np.array_equal(rref(case, p), reference_rref(case, p)), (case.shape, rank)
+                assert np.array_equal(null_space(case, p), reference_null_space(case, p))
 
 
 def test_elimination_refuses_primes_that_overflow_int64():
