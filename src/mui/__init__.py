@@ -42,7 +42,6 @@ from .linalg import (
     DegreeBasis,
     DegreeSpan,
     basis_dimension,
-    kernel_of_map,
     monomial_basis,
     span_of,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "format_word",
     "fundamental_coefficients",
     "is_essential",
-    "kernel_of_map",
     "l_n",
     "maximal_subgroups",
     "minor",

@@ -22,13 +22,14 @@ from .algebra import Element, NotDivisibleError, Ring, ZERO, _element
 from .invariants import l_n, mui_set, product_sign
 from .linalg import (
     DegreeSpan,
-    SpanBuilder,
     _compositions,
+    _positions,
+    basis_dimension,
     monomial_basis,
     pruned_null_space,
-    zero_span,
+    rref_stack,
 )
-from .steenrod import bockstein, power_op
+from .steenrod import _cartan_splits
 
 import numpy as np
 
@@ -301,57 +302,158 @@ def steenrod_closure(seed: Element, max_degree: int) -> dict[int, DegreeSpan]:
     """Degreewise spans of the smallest ideal containing the seed and closed
     under the Steenrod operations, up to max_degree.
 
-    Worklist saturation: each new span element is multiplied by every algebra
-    generator and hit with every operation whose output degree stays in
-    bounds.  All operations strictly raise degree, so one ascending pass over
-    the degrees reaches the fixpoint.
+    The Steenrod algebra is generated by the Bockstein and the P^(p^i) (the
+    Sq^(2^i) at p = 2) (Milnor, "The Steenrod algebra and its dual", Ann. of
+    Math. 1958), and every operation raises degree, so closing under these
+    alone gives the same truncated ideal.  At odd p, x_i y is
+    beta(a_i y) + a_i beta(y), so multiplying by the a_i covers the x_i too;
+    at p = 2 the ring generators are the x_i.
+
+    Every candidate of degree d comes from a lower degree, so one ascending
+    pass suffices.  At degree d, the blocks of candidate rows waiting there
+    go through rref_stack, which gives the span; then each generator and
+    operation is applied to all of its rows at once, and the block of images
+    waits at its target degree, folded there by rref_stack whenever its rows
+    outnumber the basis.
     """
     ring = Ring(seed.p, seed.n)
     p = ring.p
     deg = seed.total_degree()
     if not isinstance(deg, int) and deg != ZERO:
         raise ValueError("seed must be homogeneous")
-    builders: dict[int, SpanBuilder] = {}
-    pending: dict[int, list[Element]] = defaultdict(list)
-    total_dim = 0
-
-    def insert(el: Element) -> None:
-        nonlocal total_dim
-        if el.is_zero():
-            return
-        d = el.total_degree()
-        if d > max_degree:
-            return
-        builder = builders.get(d)
-        if builder is None:
-            builder = builders[d] = SpanBuilder(len(monomial_basis(ring, d)), p)
-        if builder.insert(monomial_basis(ring, d).coords(el)):
-            total_dim += 1
-            if total_dim > MAX_CLOSURE_DIMENSION:
-                raise RuntimeError(f"closure exceeded the dimension cap {MAX_CLOSURE_DIMENSION}")
-            pending[d].append(el)
-
+    stored = np.min_scalar_type(p - 1)
+    pending: dict[int, list[np.ndarray]] = defaultdict(list)
     if isinstance(deg, int) and deg <= max_degree:
-        insert(seed)
-    gens = ring.generators()
+        pending[deg].append(monomial_basis(ring, deg).coords(seed)[None].astype(stored))
+    spans = {}
+    total_dim = 0
     for d in range(max_degree + 1):
-        for el in pending.get(d, ()):
-            for g in gens:
-                insert(g * el)
-            if not ring.mod2:
-                if d + 1 <= max_degree:
-                    insert(bockstein(el))
-                top = (max_degree - d) // (2 * (p - 1))
-            else:
-                top = max_degree - d
-            for k in range(1, top + 1):
-                insert(power_op(k, el))
-    return {
-        d: builders[d].to_span(d)
-        if d in builders
-        else zero_span(p, d, len(monomial_basis(ring, d)))
-        for d in range(max_degree + 1)
-    }
+        rows = rref_stack(pending.pop(d, ()), p, basis_dimension(ring, d))
+        spans[d] = DegreeSpan(p, d, rows)
+        total_dim += len(rows)
+        if total_dim > MAX_CLOSURE_DIMENSION:
+            raise RuntimeError(f"closure exceeded the dimension cap {MAX_CLOSURE_DIMENSION}")
+        if not len(rows):
+            continue
+        support = np.flatnonzero(rows.any(axis=0))
+        for t, maps in _operation_maps(ring, d, support, max_degree).items():
+            width = basis_dimension(ring, t)
+            waiting = pending[t]
+            waiting += _image_rows(rows[:, support], *maps, width, p)
+            if sum(map(len, waiting)) > width:
+                waiting[:] = [rref_stack(waiting, p, width).astype(stored)]
+    return spans
+
+
+def _operation_maps(ring: Ring, d: int, support: np.ndarray, max_degree: int) -> dict:
+    """The generators and operations of steenrod_closure on the degree-d
+    monomials at the basis positions in support, as {target degree:
+    (source, target, coefficient, map) arrays} up to max_degree, one entry
+    per term of an image: map number map[i] sends monomial support[source[i]]
+    to coefficient[i] times the monomial at basis position target[i].
+
+    Left multiplication by a_i and the Bockstein carry the Koszul sign of
+    a_i passing the a_j with j < i.  P^k on a_E x^m is a_E times the sum,
+    over the shares j of k with prod C(m_l, j_l) nonzero mod p, of that
+    product times x^(m + (p - 1) j)."""
+    n, p = ring.n, ring.p
+    masks, pows = (a[support] for a in monomial_basis(ring, d).arrays)
+    src = np.arange(len(support))
+    unit = np.eye(n, dtype=np.int64)
+    found = defaultdict(list)
+    if d < max_degree:
+        beta = []
+        for i in range(n):
+            if ring.mod2:
+                found[d + 1].append((src, masks, pows + unit[i], np.ones_like(src)))
+                continue
+            free = masks & (1 << i) == 0
+            found[d + 1].append((src[free], masks[free] | 1 << i, pows[free],
+                                 _koszul_signs(masks[free], i, p)))
+            has = ~free
+            beta.append((src[has], masks[has] ^ 1 << i, pows[has] + unit[i],
+                         _koszul_signs(masks[has], i, p)))
+        if beta:
+            found[d + 1].append(tuple(map(np.concatenate, zip(*beta))))
+    step = 1 if ring.mod2 else 2 * (p - 1)
+    k = 1
+    while d + k * step <= max_degree:
+        # instability: P^k vanishes below degree 2k, Sq^k below degree k
+        if k <= (d if ring.mod2 else d // 2):
+            rows, shifted, coef = _power_map(pows, k, p)
+            found[d + k * step].append((rows, masks[rows], shifted, coef))
+        k *= p
+    maps = {}
+    for t, parts in found.items():
+        src, masks, pows, coef = map(np.concatenate, zip(*parts))
+        which = np.repeat(np.arange(len(parts)), [len(part[0]) for part in parts])
+        maps[t] = src, _positions(ring, t, masks, pows), coef, which
+    return maps
+
+
+def _koszul_signs(masks: np.ndarray, i: int, p: int) -> np.ndarray:
+    """-1 to the number of bits below bit i of each mask, as a residue mod p:
+    the sign of moving a_(i + 1) past the a_j with j <= i in a_E."""
+    below = masks & ((1 << i) - 1)
+    parity = np.zeros_like(below)
+    for j in range(i):
+        parity ^= below >> j & 1
+    return np.where(parity, p - 1, 1)
+
+
+def _power_map(pows: np.ndarray, k: int, p: int):
+    """(row, exponents, coefficient) of each term of P^k on the monomials
+    x^m given by the rows of pows, one per Cartan split j of k with nonzero
+    coefficient, with exponents m + (p - 1) j."""
+    rows, shares, coefs = [], [], []
+    for row, m in enumerate(map(tuple, pows.tolist())):
+        for coef, share in _cartan_splits(m, k, p):
+            rows.append(row)
+            shares.append(share)
+            coefs.append(coef)
+    rows = np.array(rows, dtype=np.int64)
+    shares = np.array(shares, dtype=np.int64).reshape(len(rows), pows.shape[1])
+    return rows, pows[rows] + (p - 1) * shares, np.array(coefs, dtype=np.int64)
+
+
+# rows of sub times target columns imaged at once by _image_rows
+IMAGE_CHUNK_CELLS = 2**21
+
+
+def _image_rows(sub: np.ndarray, src, tgt, coef, which, width: int, p: int) -> list:
+    """The images of the rows of sub (one column per source) under the maps
+    of _operation_maps into a degree with basis of the given width, one
+    block per map, reduced mod p into the smallest dtype that holds p - 1,
+    zero rows dropped.  The (source, target) pairs are added in rounds that
+    hit each target at most once, reduced before int64 could overflow, on
+    chunks of rows of bounded size."""
+    if not len(which):
+        return []
+    cols, tgt = np.unique(which * width + tgt, return_inverse=True)
+    # round k takes the k-th pair into each target: sort by target, number
+    # each pair within its run, then sort by that number
+    order = np.argsort(tgt, kind="stable")
+    first = np.flatnonzero(np.concatenate([[True], np.diff(tgt[order]) != 0]))
+    rounds = np.arange(len(tgt)) - np.repeat(first, np.diff(first, append=len(tgt)))
+    order = order[np.argsort(rounds, kind="stable")]
+    src, tgt, coef = src[order], tgt[order], coef[order]
+    bounds = np.searchsorted(np.sort(rounds), np.arange(int(rounds.max()) + 2))
+    budget = (2**63 - 1 - p) // (p - 1) ** 2
+    count = int(which.max()) + 1
+    out = np.zeros((len(sub), count * width), dtype=np.min_scalar_type(p - 1))
+    step = max(1, IMAGE_CHUNK_CELLS // len(cols))
+    for i in range(0, len(sub), step):
+        part = sub[i:i + step]
+        acc = np.zeros((len(part), len(cols)), dtype=np.int64)
+        for k in range(len(bounds) - 1):
+            hit = slice(bounds[k], bounds[k + 1])
+            acc[:, tgt[hit]] += part[:, src[hit]] * coef[hit]
+            if (k + 1) % budget == 0:
+                acc %= p
+        acc %= p
+        out[i:i + step, cols] = acc
+    blocks = out.reshape(len(sub), count, width).transpose(1, 0, 2)
+    return [block[block.any(axis=1)] for block in blocks]
 
 
 def proof_word(ring: Ring, subset) -> tuple:

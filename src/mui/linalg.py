@@ -39,9 +39,10 @@ def rref(mat: np.ndarray, p: int) -> np.ndarray:
     m = np.array(mat, dtype=np.int64)
     m %= p
     budget = max(1, (2**63 - 1 - p) // (p - 1) ** 2)
-    n_rows, n_cols = m.shape
+    n_rows = len(m)
     r = steps = 0
-    for c in range(n_cols):
+    # row operations keep a zero column zero, so only the others can pivot
+    for c in np.flatnonzero(m.any(axis=0)):
         if r == n_rows:
             break
         col = m[:, c]
@@ -89,6 +90,8 @@ def null_space(mat: np.ndarray, p: int) -> np.ndarray:
     free = np.flatnonzero(free)
     basis = np.zeros((len(free), mat.shape[1]), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
+    if not len(pivots):
+        return basis  # the identity, already RREF
     basis[:, pivots] = -reduced[:, free].T % p
     # row k carries -reduced[:, f] (f = free[k]) on pivot columns left of f,
     # so its leading entry is not at f and the basis needs its own RREF
@@ -98,6 +101,110 @@ def null_space(mat: np.ndarray, p: int) -> np.ndarray:
 def left_null_space(mat: np.ndarray, p: int) -> np.ndarray:
     """RREF basis of {v : v @ mat = 0 mod p}."""
     return null_space(np.asarray(mat).T, p)
+
+
+# float32 and float64 hold every integer below 2^24 and 2^53 exactly
+FLOAT32_EXACT = 2**24
+FLOAT64_EXACT = 2**53
+
+
+def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for integer matrices with entries in 0..p-1, exactly, by
+    floating-point GEMM.  A float sum of k nonnegative integer products
+    below B is exact while k * B stays below 2^24 in float32 or 2^53 in
+    float64: float32 is used when the whole inner dimension allows it, else
+    float64 on runs of the inner dimension that short.  When (p - 1)^2
+    alone reaches 2^53, a is first split into 16-bit limbs."""
+    _check_int64_prime(p)
+    if (p - 1) ** 2 < FLOAT64_EXACT:
+        return _gemm_mod(a, b, (p - 1) ** 2, p)
+    a = np.asarray(a, dtype=np.int64)
+    low = _gemm_mod(a & 0xFFFF, b, 0xFFFF * (p - 1), p)
+    high = _gemm_mod(a >> 16, b, ((p - 1) >> 16) * (p - 1), p)
+    return ((high << 16) + low) % p
+
+
+# OpenBLAS runs a product of at most this many multiply-adds on one thread;
+# on a busy host, waking its other threads costs far more than such a product
+GEMM_CALL_LIMIT = 2**18
+
+
+def _gemm_mod(a, b, bound: int, p: int) -> np.ndarray:
+    """a @ b mod p, where each entrywise product is at most bound.  The rows
+    of a go in runs of at most GEMM_CALL_LIMIT multiply-adds per call, unless
+    one row alone is over that."""
+    if a.shape[1] * bound < FLOAT32_EXACT:
+        dtype, step = np.float32, max(1, a.shape[1])
+    else:
+        dtype, step = np.float64, max(1, (FLOAT64_EXACT - 1) // bound)
+    a = np.asarray(a, dtype=dtype)
+    b = np.asarray(b, dtype=dtype)
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for s in range(0, a.shape[1], step):
+        left, right = a[:, s:s + step], b[s:s + step]
+        rows = GEMM_CALL_LIMIT // max(1, right.size) or len(left)
+        for i in range(0, len(left), rows):
+            out[i:i + rows] += (left[i:i + rows] @ right).astype(np.int64)
+        out %= p
+    return out
+
+
+# rows reduced per chunk in rref_stack, times the width
+STACK_CHUNK_CELLS = 2**21
+
+
+def rref_stack(blocks, p: int, width: int) -> np.ndarray:
+    """RREF of the rows of several matrices of one width, zero rows dropped.
+
+    The tallest block goes through rref, unless it is in RREF already.  The
+    rows of the others follow in chunks of bounded size: a chunk is reduced
+    against the RREF so far by _clear, the rows that survive go through
+    rref, _clear takes their pivot columns out of the RREF so far, and the
+    two merge by pivot."""
+    blocks = sorted((b for b in blocks if len(b)), key=len)
+    if not blocks:
+        return np.zeros((0, width), dtype=np.int64)
+    top = blocks.pop()
+    top = top.astype(np.int64) if _is_rref(top) else rref(top, p)
+    if not blocks:
+        return top
+    rest = np.vstack(blocks)
+    step = max(1, STACK_CHUNK_CELLS // max(1, width))
+    for i in range(0, len(rest), step):
+        pivots = _pivots(top)
+        part = _clear(rest[i:i + step].astype(np.int64), top, pivots, p)
+        part = rref(part[part.any(axis=1)], p)
+        if len(part):
+            new = _pivots(part)
+            top = _clear(top, part, new, p)
+            top = np.vstack([top, part])[np.argsort(np.concatenate([pivots, new]))]
+    return top
+
+
+def _clear(rows: np.ndarray, basis: np.ndarray, pivots: np.ndarray, p: int) -> np.ndarray:
+    """rows minus their components along the RREF rows of basis, whose
+    pivot columns are given: v - v[pivots] @ basis, by matmul_mod.  It is
+    zero on the pivot columns and v itself where basis is zero, so only the
+    other columns are multiplied."""
+    live = basis.any(axis=0)
+    live[pivots] = False
+    cols = np.flatnonzero(live)
+    rows[:, cols] -= matmul_mod(rows[:, pivots], basis[:, cols], p)
+    rows[:, cols] %= p
+    rows[:, pivots] = 0
+    return rows
+
+
+def _is_rref(m: np.ndarray) -> bool:
+    """True when a matrix with entries in 0..p-1 is in RREF with no zero row:
+    leading columns strictly increasing, each a unit column."""
+    nonzero = m != 0
+    lead = nonzero.argmax(axis=1)
+    return bool(
+        nonzero[np.arange(len(m)), lead].all()
+        and (np.diff(lead) > 0).all()
+        and np.array_equal(m[:, lead], np.eye(len(m), dtype=m.dtype))
+    )
 
 
 def _reduce(vec: np.ndarray, rows, pivots, p: int) -> np.ndarray:
@@ -184,6 +291,15 @@ class DegreeBasis:
             vec[i] = c
         return vec
 
+    @cached_property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The monomials as read-only arrays: exterior bitmasks (bit i - 1
+        for a_i) and exponent rows."""
+        masks = np.array([sum(1 << (i - 1) for i in mon.ext) for mon in self.monomials],
+                         dtype=np.int64)
+        pows = np.array([mon.pows for mon in self.monomials], dtype=np.int64)
+        return _read_only(masks, pows.reshape(len(self.monomials), self.ring.n))
+
     def element(self, vec: np.ndarray) -> Element:
         terms = {
             (mon.ext, mon.pows): int(c) for mon, c in zip(self.monomials, vec, strict=True) if c
@@ -221,6 +337,53 @@ def monomial_basis(ring: Ring, degree: int) -> DegreeBasis:
                     mons.append(Monomial(ext, m))
     mons.sort(key=term_key)
     return DegreeBasis(ring, degree, tuple(mons))
+
+
+@lru_cache(maxsize=None)
+def _position_tables(ring: Ring, degree: int):
+    """For _positions: the first basis position of each exterior part, by
+    bitmask, and counts[s, q] = C(s + q - 1, q), the number of exponent
+    vectors in q + 1 variables of total s - 1."""
+    n = ring.n
+    top = degree if ring.mod2 else degree // 2
+    size = (lambda k: math.comb(k + n - 1, n - 1)) if n else (lambda k: int(k == 0))
+    starts = np.zeros(1 if ring.mod2 else 1 << n, dtype=np.int64)
+    at = 0
+    for r in range(0 if ring.mod2 else min(n, degree), -1, -1):
+        if not ring.mod2 and (degree - r) % 2:
+            continue
+        k = degree if ring.mod2 else (degree - r) // 2
+        for ext in combinations(range(n), r):
+            starts[sum(1 << i for i in ext)] = at
+            at += size(k)
+    counts = np.array([[math.comb(s + q - 1, q) if s else 0 for q in range(n)]
+                       for s in range(top + 1)], dtype=np.int64).reshape(top + 1, n)
+    return _read_only(starts, counts)
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only: a cache hands them to every caller."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+def _positions(ring: Ring, degree: int, masks: np.ndarray, pows: np.ndarray) -> np.ndarray:
+    """Positions in monomial_basis(ring, degree) of the monomials a_E x^m
+    given by exterior bitmasks (bit i - 1 for a_i) and exponent rows.
+
+    The basis runs over the exterior parts by rank descending, then
+    lexicographically, each followed by its exponent vectors in descending
+    lexicographic order.  Vectors before m there agree with m up to some
+    entry i and are larger in it: C(s + q - 1, q) of them, where s is the
+    sum of m past entry i and q the number of entries past it."""
+    starts, counts = _position_tables(ring, degree)
+    n = pows.shape[1]
+    out = starts[masks].copy()
+    suffix = np.cumsum(pows[:, ::-1], axis=1)[:, ::-1]
+    for i in range(n - 1):
+        out += counts[suffix[:, i + 1], n - 1 - i]
+    return out
 
 
 def basis_dimension(ring: Ring, degree: int) -> int:
@@ -278,30 +441,8 @@ def pruned_null_space(mat: np.ndarray, p: int) -> np.ndarray:
     return kernel
 
 
-def kernel_of_map(domain: DegreeBasis, *maps) -> DegreeSpan:
-    """Joint kernel of linear maps on one graded piece, in domain coordinates.
-
-    Each map is given by the images of domain.monomials, in order.  The
-    matrix has one row per (map, codomain monomial) pair that occurs in
-    some image, so no codomain basis is enumerated; with no nonzero image
-    the kernel is the whole domain."""
-    rows: dict = {}
-    pairs, cols, vals = [], [], []
-    for k, images in enumerate(maps):
-        if len(images) != len(domain):
-            raise ValueError("one image per domain monomial required")
-        for i, y in enumerate(images):
-            for mon, c in y.terms.items():
-                pairs.append(rows.setdefault((k, mon), len(rows)))
-                cols.append(i)
-                vals.append(c)
-    mat = np.zeros((len(rows), len(domain)), dtype=np.int64)
-    mat[pairs, cols] = vals
-    return DegreeSpan(domain.ring.p, domain.degree, pruned_null_space(mat, domain.ring.p))
-
-
 class SpanBuilder:
-    """Incrementally maintained RREF span, for worklist saturation."""
+    """Incrementally maintained RREF span, one vector at a time."""
 
     def __init__(self, ambient_dim: int, p: int):
         _check_int64_prime(p)

@@ -8,9 +8,10 @@ factor x^m contributes C(m, j) x^{m + j(p-1)} for its share j of k.
 
 from __future__ import annotations
 
+import math
 import re
+from functools import lru_cache
 
-from . import field
 from .algebra import Element, ParseError, _element
 
 # An operation word is a tuple of ops, composition order left to right,
@@ -54,12 +55,14 @@ def power_op(k: int, y: Element) -> Element:
 
 
 def _cartan_splits(pows: tuple[int, ...], k: int, p: int):
-    """Distributions of k over the polynomial factors, with their mod-p
-    multinomial coefficients; zero-coefficient branches are pruned."""
+    """Distributions of k over the polynomial factors with nonzero mod-p
+    multinomial coefficient, in lexicographic order of the shares, each
+    with that coefficient."""
     n = len(pows)
     suffix = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix[i] = suffix[i + 1] + pows[i]
+    shares = [_lucas_shares(m, p) for m in pows]
     out: list[tuple[int, tuple[int, ...]]] = []
 
     def rec(i: int, rem: int, coef: int, acc: list[int]):
@@ -68,16 +71,31 @@ def _cartan_splits(pows: tuple[int, ...], k: int, p: int):
         if i == n:
             out.append((coef, tuple(acc)))
             return
-        top = min(rem, pows[i])
-        for j in range(top + 1):
-            b = field.binomial_mod(pows[i], j, p)
-            if b:
-                acc.append(j)
-                rec(i + 1, rem - j, coef * b % p, acc)
-                acc.pop()
+        for j, b in shares[i]:
+            if j > rem:
+                break
+            acc.append(j)
+            rec(i + 1, rem - j, coef * b % p, acc)
+            acc.pop()
 
     rec(0, k, 1, [])
     return out
+
+
+@lru_cache(maxsize=None)
+def _lucas_shares(m: int, p: int) -> tuple[tuple[int, int], ...]:
+    """The shares j of x^m with C(m, j) nonzero mod p, ascending, with
+    C(m, j) mod p.  By Lucas' theorem these are the j whose base-p digits
+    are at most those of m, and C(m, j) is the product of the digitwise
+    binomials."""
+    digits = []
+    while m:
+        m, d = divmod(m, p)
+        digits.append(d)
+    out = [(0, 1)]
+    for d in reversed(digits):
+        out = [(j * p + e, c * math.comb(d, e) % p) for j, c in out for e in range(d + 1)]
+    return tuple(out)
 
 
 def apply_op(op: Op, y: Element) -> Element:

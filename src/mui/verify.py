@@ -17,7 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .algebra import Element, Ring, _element
+from .algebra import Element, Ring, _element, _exterior_blocks, _merge_ext
 from .essential import (
     decompose,
     ess_basis,
@@ -39,9 +39,11 @@ from .invariants import (
 )
 from .linalg import (
     DegreeSpan,
+    _positions,
+    _read_only,
     basis_dimension,
-    kernel_of_map,
     monomial_basis,
+    pruned_null_space,
     span_of,
     zero_span,
 )
@@ -305,10 +307,56 @@ def _check_mnst(ring: Ring, max_degree: int) -> list[Case]:
 @lru_cache(maxsize=None)
 def _joint_annihilator(ring: Ring, d: int, subsets: tuple[tuple[int, ...], ...]) -> DegreeSpan:
     """Kernel of y -> (y * M_S)_S on the degree-d basis; cached, since
-    coroll:jointAnn2 at r = 1 asks for the subsets of lemma:jointAnn."""
+    coroll:jointAnn2 at r = 1 asks for the subsets of lemma:jointAnn.
+
+    The matrix is built in one numpy pass per (S, exterior part T of M_S):
+    a basis monomial a_E x^m times a term c a_T x^q of M_S is
+    sign(E, T) c a_(E u T) x^(m + q), the Koszul sign read from a table over
+    the distinct E (zero when E meets T).  Its rows are the (S, monomial)
+    pairs that occur, numbered for each S by np.unique of the monomials'
+    positions in their degree basis, which is never built; the entries,
+    reduced mod p, are stored in the smallest dtype that holds p - 1."""
+    p, n = ring.p, ring.n
     basis = monomial_basis(ring, d)
-    gens = [Element(ring.p, ring.n, {tuple(mon): 1}) for mon in basis.monomials]
-    return kernel_of_map(basis, *([y * mui_set(ring, s) for y in gens] for s in subsets))
+    masks, pows = basis.arrays
+    ext_masks, col_ext = np.unique(masks, return_inverse=True)
+    exts = [tuple(i + 1 for i in range(n) if m >> i & 1) for m in ext_masks.tolist()]
+    rows, cols, vals = [], [], []
+    height = 0
+    for s in subsets:
+        degree, parts = _exterior_parts(ring, s)
+        targets = []
+        for t_ext, shift, coef in parts:
+            merged = (_merge_ext(ext, t_ext) for ext in exts)
+            sign = np.array([m[0] if m else 0 for m in merged], dtype=np.int64)[col_ext]
+            live = np.flatnonzero(sign)
+            t_mask = sum(1 << (i - 1) for i in t_ext)
+            targets.append(_positions(ring, d + degree, np.repeat(masks[live] | t_mask, len(coef)),
+                                      (pows[live, None, :] + shift[None]).reshape(-1, n)))
+            cols.append(np.repeat(live, len(coef)))
+            vals.append((sign[live, None] * coef[None]).reshape(-1) % p)
+        if targets:
+            _, found = np.unique(np.concatenate(targets), return_inverse=True)
+            rows.append(height + found)
+            height += int(found.max(initial=-1)) + 1
+    mat = np.zeros((height, len(basis)), dtype=np.min_scalar_type(p - 1))
+    if rows:
+        mat[np.concatenate(rows), np.concatenate(cols)] = np.concatenate(vals)
+    return DegreeSpan(p, d, pruned_null_space(mat, p))
+
+
+@lru_cache(maxsize=None)
+def _exterior_parts(ring: Ring, subset: tuple[int, ...]):
+    """The degree of M_S, and M_S by exterior part: (T, exponent rows,
+    coefficients) for each T."""
+    m_s = mui_set(ring, subset)
+    return m_s.total_degree(), [
+        (ext, *_read_only(
+            np.array([q for q, _ in terms], dtype=np.int64).reshape(len(terms), ring.n),
+            np.array([c for _, c in terms], dtype=np.int64),
+        ))
+        for ext, terms in _exterior_blocks(m_s.terms).items()
+    ]
 
 
 def _high_rank_span(ring: Ring, d: int, min_rank: int) -> DegreeSpan:

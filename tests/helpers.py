@@ -6,17 +6,26 @@ from __future__ import annotations
 import random
 import signal
 import time
+from collections import defaultdict
 from contextlib import contextmanager
 from itertools import combinations, groupby, product
 
 import numpy as np
 from hypothesis import strategies as st
 
-from mui import Element, NotDivisibleError, Ring, l_n, mui_set
-from mui import field
+from mui import Element, NotDivisibleError, Ring, ZERO, l_n, mui_set
+from mui import essential, field
 from mui.algebra import _element, _merge_ext
 from mui.essential import MaximalSubgroup, maximal_subgroups, restrict
-from mui.linalg import DegreeBasis, kernel_of_map, monomial_basis
+from mui.linalg import (
+    DegreeBasis,
+    DegreeSpan,
+    SpanBuilder,
+    monomial_basis,
+    pruned_null_space,
+    zero_span,
+)
+from mui.steenrod import bockstein, power_op
 
 
 def rand_element(ring: Ring, rng: random.Random, max_terms: int = 4,
@@ -347,3 +356,118 @@ def reference_ess_by_rank(ring: Ring, d: int) -> dict[int, np.ndarray]:
         rows[:, start:start + len(mons)] = kernel.rows
         by_rank[r] = rows
     return by_rank
+
+
+def kernel_of_map(domain: DegreeBasis, *maps) -> DegreeSpan:
+    """Joint kernel of linear maps on one graded piece, in domain coordinates.
+
+    Each map is given by the images of domain.monomials, in order.  The
+    matrix has one row per (map, codomain monomial) pair that occurs in
+    some image, so no codomain basis is enumerated; with no nonzero image
+    the kernel is the whole domain."""
+    rows: dict = {}
+    pairs, cols, vals = [], [], []
+    for k, images in enumerate(maps):
+        if len(images) != len(domain):
+            raise ValueError("one image per domain monomial required")
+        for i, y in enumerate(images):
+            for mon, c in y.terms.items():
+                pairs.append(rows.setdefault((k, mon), len(rows)))
+                cols.append(i)
+                vals.append(c)
+    mat = np.zeros((len(rows), len(domain)), dtype=np.int64)
+    mat[pairs, cols] = vals
+    return DegreeSpan(domain.ring.p, domain.degree, pruned_null_space(mat, domain.ring.p))
+
+
+def reference_joint_annihilator(ring: Ring, d: int, subsets) -> DegreeSpan:
+    """Reference for verify._joint_annihilator: the images y * M_S of the
+    one-term basis elements y, formed by Element products, joined by
+    kernel_of_map."""
+    basis = monomial_basis(ring, d)
+    gens = [Element(ring.p, ring.n, {tuple(mon): 1}) for mon in basis.monomials]
+    return kernel_of_map(basis, *([y * mui_set(ring, s) for y in gens] for s in subsets))
+
+
+def reference_cartan_splits(pows: tuple[int, ...], k: int, p: int):
+    """Reference for steenrod._cartan_splits: try every share j of each
+    factor and drop those whose binomial C(m, j) vanishes mod p."""
+    n = len(pows)
+    suffix = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + pows[i]
+    out: list[tuple[int, tuple[int, ...]]] = []
+
+    def rec(i: int, rem: int, coef: int, acc: list[int]):
+        if rem > suffix[i]:
+            return
+        if i == n:
+            out.append((coef, tuple(acc)))
+            return
+        top = min(rem, pows[i])
+        for j in range(top + 1):
+            b = field.binomial_mod(pows[i], j, p)
+            if b:
+                acc.append(j)
+                rec(i + 1, rem - j, coef * b % p, acc)
+                acc.pop()
+
+    rec(0, k, 1, [])
+    return out
+
+
+def reference_steenrod_closure(seed: Element, max_degree: int) -> dict[int, DegreeSpan]:
+    """Reference for essential.steenrod_closure, by worklist saturation: each
+    new span element is multiplied by every algebra generator and hit with
+    every operation (every P^k, not only the algebra generators) whose output
+    degree stays in bounds, one SpanBuilder.insert per candidate.  All
+    operations strictly raise degree, so one ascending pass over the degrees
+    reaches the fixpoint."""
+    ring = Ring(seed.p, seed.n)
+    p = ring.p
+    deg = seed.total_degree()
+    if not isinstance(deg, int) and deg != ZERO:
+        raise ValueError("seed must be homogeneous")
+    builders: dict[int, SpanBuilder] = {}
+    pending: dict[int, list[Element]] = defaultdict(list)
+    total_dim = 0
+
+    def insert(el: Element) -> None:
+        nonlocal total_dim
+        if el.is_zero():
+            return
+        d = el.total_degree()
+        if d > max_degree:
+            return
+        builder = builders.get(d)
+        if builder is None:
+            builder = builders[d] = SpanBuilder(len(monomial_basis(ring, d)), p)
+        if builder.insert(monomial_basis(ring, d).coords(el)):
+            total_dim += 1
+            if total_dim > essential.MAX_CLOSURE_DIMENSION:
+                raise RuntimeError(
+                    f"closure exceeded the dimension cap {essential.MAX_CLOSURE_DIMENSION}"
+                )
+            pending[d].append(el)
+
+    if isinstance(deg, int) and deg <= max_degree:
+        insert(seed)
+    gens = ring.generators()
+    for d in range(max_degree + 1):
+        for el in pending.get(d, ()):
+            for g in gens:
+                insert(g * el)
+            if not ring.mod2:
+                if d + 1 <= max_degree:
+                    insert(bockstein(el))
+                top = (max_degree - d) // (2 * (p - 1))
+            else:
+                top = max_degree - d
+            for k in range(1, top + 1):
+                insert(power_op(k, el))
+    return {
+        d: builders[d].to_span(d)
+        if d in builders
+        else zero_span(p, d, len(monomial_basis(ring, d)))
+        for d in range(max_degree + 1)
+    }

@@ -3,11 +3,11 @@ import random
 import numpy as np
 import pytest
 
-from mui import Ring, basis_dimension, kernel_of_map, monomial_basis, span_of
+from mui import Ring, basis_dimension, monomial_basis, span_of
 from mui import linalg
 from mui.essential import maximal_subgroups, restrict
 from mui.linalg import SpanBuilder, left_null_space, null_space, rref
-from helpers import rand_homogeneous, reference_null_space, reference_rref
+from helpers import kernel_of_map, rand_homogeneous, reference_null_space, reference_rref
 
 R32 = Ring(3, 2)
 
@@ -336,3 +336,68 @@ def test_span_builder_matches_batch_rref():
         grew = [builder.insert(v) for v in vecs]
         assert sum(grew) == builder.dim
         assert np.array_equal(builder.to_span(0).rows, rref(vecs, 3))
+
+
+def python_matmul_mod(a, b, p):
+    """a @ b mod p in Python integers, over runs of the inner dimension."""
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=object)
+    for s in range(0, a.shape[1], 2**16):
+        out += a[:, s:s + 2**16].astype(object) @ b[s:s + 2**16].astype(object)
+    return (out % p).astype(np.int64)
+
+
+@pytest.mark.parametrize("p", [2, 3, 65537, 94906249, 2**31 - 1])
+def test_matmul_mod_is_exact(p, monkeypatch):
+    rng = np.random.default_rng(p)
+
+    def check(a, b):
+        assert np.array_equal(linalg.matmul_mod(a, b, p), python_matmul_mod(a, b, p))
+
+    # the runs of the inner dimension are 2^21 - 1 long at 65537 and one
+    # product long at 94906249, the largest prime with (p - 1)^2 < 2^53; at
+    # 2^31 - 1 one product passes 2^53, and the 16-bit limbs take runs of 63
+    # and 127
+    k = {65537: 2**21 + 2**18, 2**31 - 1: 300}.get(p, 500)
+    a = np.full((1, k), max(1, p - 2), dtype=np.int64)
+    b = np.full((k, 2), max(1, p - 2), dtype=np.int64)
+    b[::7, 1] = rng.integers(0, p, len(b[::7]))
+    check(a, b)
+    for m, k, n in [(0, 4, 3), (3, 0, 4), (5, 7, 0), (9, 40, 11), (64, 33, 70)]:
+        check(rng.integers(0, p, (m, k)), rng.integers(0, p, (k, n)))
+    # small exactness limits cut the inner dimension at any p (down to runs
+    # of one product, and into limbs from p = 65537), and a small call limit
+    # cuts the rows
+    monkeypatch.setattr(linalg, "FLOAT32_EXACT", 2**7)
+    monkeypatch.setattr(linalg, "FLOAT64_EXACT", 2**9)
+    monkeypatch.setattr(linalg, "GEMM_CALL_LIMIT", 50)
+    for m, k, n in [(9, 40, 11), (64, 33, 7), (1, 1000, 1)]:
+        check(rng.integers(0, p, (m, k)), rng.integers(0, p, (k, n)))
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 2**31 - 1])
+def test_rref_stack_matches_rref_of_the_stack(p, monkeypatch):
+    rng = np.random.default_rng(p + 1)
+    for chunk in (linalg.STACK_CHUNK_CELLS, 30):
+        monkeypatch.setattr(linalg, "STACK_CHUNK_CELLS", chunk)
+        for _ in range(30):
+            width = int(rng.integers(1, 25))
+            rank = int(rng.integers(0, width + 1))
+            blocks = [low_rank(rng, p, int(rng.integers(0, 12)), width, rank)
+                      for _ in range(int(rng.integers(0, 5)))]
+            if blocks and rng.integers(2):
+                # an RREF block skips rref, and must still merge exactly
+                blocks.append(rref(np.vstack(blocks + [low_rank(rng, p, 40, width, rank)]), p))
+            blocks = [b[b.any(axis=1)].astype(np.min_scalar_type(p - 1)) for b in blocks]
+            stacked = np.vstack(blocks) if blocks else np.zeros((0, width), dtype=np.int64)
+            got = linalg.rref_stack(blocks, p, width)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, reference_rref(stacked, p))
+
+
+def test_is_rref():
+    assert linalg._is_rref(np.array([[1, 0, 2], [0, 1, 1]]))
+    assert linalg._is_rref(np.zeros((0, 3), dtype=np.int64))
+    assert not linalg._is_rref(np.array([[1, 1, 2], [0, 1, 1]]))  # pivot column not a unit
+    assert not linalg._is_rref(np.array([[0, 1, 1], [1, 0, 2]]))  # pivots out of order
+    assert not linalg._is_rref(np.array([[2, 0, 1], [0, 1, 1]]))  # pivot not 1
+    assert not linalg._is_rref(np.array([[1, 0, 2], [0, 0, 0]]))  # a zero row

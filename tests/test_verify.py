@@ -3,12 +3,15 @@ import os
 import runpy
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mui import CLAIMS, ConfigError, Ring, claim_ids, run_all, run_claim
-from mui.verify import check_resources
+from mui.verify import _joint_annihilator, check_resources
+from helpers import reference_joint_annihilator
 
 R32 = Ring(3, 2)
 
@@ -91,6 +94,21 @@ def test_resource_guard_accepts_the_shipped_configurations():
     configs.append((*bench["INVARIANT_RING"], 0))
     for p, n, max_degree in configs:
         check_resources(Ring(p, n), max_degree)
+
+
+@pytest.mark.parametrize("p,n,max_degree", [(3, 2, 12), (3, 3, 14), (5, 2, 12)])
+def test_joint_annihilator_matches_reference(p, n, max_degree):
+    ring = Ring(p, n)
+    # the subset families of lemma:jointAnn and coroll:jointAnn2, and one
+    # that mixes sizes
+    families = [tuple(combinations(range(1, n + 1), r)) for r in range(1, n + 1)]
+    families.append(((1,), tuple(range(2, n + 1))))
+    for subsets in families:
+        for d in range(max_degree + 1):
+            got = _joint_annihilator(ring, d, subsets)
+            expected = reference_joint_annihilator(ring, d, subsets)
+            assert got.rows.dtype == np.int64
+            assert got == expected, (subsets, d)
 
 
 def test_joint_annihilator_at_rank_four_fits_in_two_gigabytes():
