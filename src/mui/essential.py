@@ -18,10 +18,11 @@ from itertools import combinations, groupby, product
 from operator import add
 
 from . import field
-from .algebra import Element, NotDivisibleError, Ring, ZERO, _element
+from .algebra import Element, NotDivisibleError, Ring, ZERO, _element, _merge_ext
 from .invariants import l_n, mui_set, product_sign
 from .linalg import (
     DegreeSpan,
+    _check_int64_prime,
     _compositions,
     _positions,
     basis_dimension,
@@ -318,6 +319,7 @@ def steenrod_closure(seed: Element, max_degree: int) -> dict[int, DegreeSpan]:
     """
     ring = Ring(seed.p, seed.n)
     p = ring.p
+    _check_int64_prime(p)
     deg = seed.total_degree()
     if not isinstance(deg, int) and deg != ZERO:
         raise ValueError("seed must be homogeneous")
@@ -353,13 +355,16 @@ def _operation_maps(ring: Ring, d: int, support: np.ndarray, max_degree: int) ->
     to coefficient[i] times the monomial at basis position target[i].
 
     Left multiplication by a_i and the Bockstein carry the Koszul sign of
-    a_i passing the a_j with j < i.  P^k on a_E x^m is a_E times the sum,
-    over the shares j of k with prod C(m_l, j_l) nonzero mod p, of that
-    product times x^(m + (p - 1) j)."""
+    a_i passing the a_j with j < i, read from _merge_ext over the distinct
+    exterior parts.  P^k on a_E x^m is a_E times the sum, over the shares j
+    of k with prod C(m_l, j_l) nonzero mod p, of that product times
+    x^(m + (p - 1) j)."""
     n, p = ring.n, ring.p
     masks, pows = (a[support] for a in monomial_basis(ring, d).arrays)
     src = np.arange(len(support))
     unit = np.eye(n, dtype=np.int64)
+    ext_masks, col_ext = np.unique(masks, return_inverse=True)
+    exts = [tuple(j + 1 for j in range(n) if m >> j & 1) for m in ext_masks.tolist()]
     found = defaultdict(list)
     if d < max_degree:
         beta = []
@@ -367,12 +372,13 @@ def _operation_maps(ring: Ring, d: int, support: np.ndarray, max_degree: int) ->
             if ring.mod2:
                 found[d + 1].append((src, masks, pows + unit[i], np.ones_like(src)))
                 continue
+            # the sign of a_(i + 1) a_E, a_(i + 1) left out of E
+            sign = np.array([_merge_ext((i + 1,), tuple(j for j in ext if j != i + 1))[0]
+                             for ext in exts], dtype=np.int64)[col_ext] % p
             free = masks & (1 << i) == 0
-            found[d + 1].append((src[free], masks[free] | 1 << i, pows[free],
-                                 _koszul_signs(masks[free], i, p)))
+            found[d + 1].append((src[free], masks[free] | 1 << i, pows[free], sign[free]))
             has = ~free
-            beta.append((src[has], masks[has] ^ 1 << i, pows[has] + unit[i],
-                         _koszul_signs(masks[has], i, p)))
+            beta.append((src[has], masks[has] ^ 1 << i, pows[has] + unit[i], sign[has]))
         if beta:
             found[d + 1].append(tuple(map(np.concatenate, zip(*beta))))
     step = 1 if ring.mod2 else 2 * (p - 1)
@@ -389,16 +395,6 @@ def _operation_maps(ring: Ring, d: int, support: np.ndarray, max_degree: int) ->
         which = np.repeat(np.arange(len(parts)), [len(part[0]) for part in parts])
         maps[t] = src, _positions(ring, t, masks, pows), coef, which
     return maps
-
-
-def _koszul_signs(masks: np.ndarray, i: int, p: int) -> np.ndarray:
-    """-1 to the number of bits below bit i of each mask, as a residue mod p:
-    the sign of moving a_(i + 1) past the a_j with j <= i in a_E."""
-    below = masks & ((1 << i) - 1)
-    parity = np.zeros_like(below)
-    for j in range(i):
-        parity ^= below >> j & 1
-    return np.where(parity, p - 1, 1)
 
 
 def _power_map(pows: np.ndarray, k: int, p: int):

@@ -103,40 +103,30 @@ def left_null_space(mat: np.ndarray, p: int) -> np.ndarray:
     return null_space(np.asarray(mat).T, p)
 
 
-# float32 and float64 hold every integer below 2^24 and 2^53 exactly
-FLOAT32_EXACT = 2**24
+# float64 holds every integer below 2^53 exactly
 FLOAT64_EXACT = 2**53
-
-
-def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p for integer matrices with entries in 0..p-1, exactly, by
-    floating-point GEMM.  A float sum of k nonnegative integer products
-    below B is exact while k * B stays below 2^24 in float32 or 2^53 in
-    float64: float32 is used when the whole inner dimension allows it, else
-    float64 on runs of the inner dimension that short.  When (p - 1)^2
-    alone reaches 2^53, a is first split into 16-bit limbs."""
-    _check_int64_prime(p)
-    if (p - 1) ** 2 < FLOAT64_EXACT:
-        return _gemm_mod(a, b, (p - 1) ** 2, p)
-    a = np.asarray(a, dtype=np.int64)
-    low = _gemm_mod(a & 0xFFFF, b, 0xFFFF * (p - 1), p)
-    high = _gemm_mod(a >> 16, b, ((p - 1) >> 16) * (p - 1), p)
-    return ((high << 16) + low) % p
-
 
 # OpenBLAS runs a product of at most this many multiply-adds on one thread;
 # on a busy host, waking its other threads costs far more than such a product
 GEMM_CALL_LIMIT = 2**18
 
 
-def _gemm_mod(a, b, bound: int, p: int) -> np.ndarray:
-    """a @ b mod p, where each entrywise product is at most bound.  The rows
-    of a go in runs of at most GEMM_CALL_LIMIT multiply-adds per call, unless
-    one row alone is over that."""
-    if a.shape[1] * bound < FLOAT32_EXACT:
-        dtype, step = np.float32, max(1, a.shape[1])
+def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for integer matrices with entries in 0..p-1, exactly.
+
+    Each product is at most (p - 1)^2, so a sum of k of them is exact in
+    float64 while k (p - 1)^2 stays below 2^53: the inner dimension goes in
+    runs that short, one float64 GEMM each.  Once (p - 1)^2 alone reaches
+    2^53 (p above about 9.5 * 10^7) the runs are int64 products instead,
+    short enough that a run's sum plus a residue stays below 2^63.  The rows
+    of a go in runs of at most GEMM_CALL_LIMIT multiply-adds per call,
+    unless one row alone is over that."""
+    _check_int64_prime(p)
+    bound = (p - 1) ** 2
+    if bound < FLOAT64_EXACT:
+        dtype, step = np.float64, (FLOAT64_EXACT - 1) // bound
     else:
-        dtype, step = np.float64, max(1, (FLOAT64_EXACT - 1) // bound)
+        dtype, step = np.int64, (2**63 - 1 - p) // bound
     a = np.asarray(a, dtype=dtype)
     b = np.asarray(b, dtype=dtype)
     out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)

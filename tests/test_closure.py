@@ -56,12 +56,19 @@ def test_closure_of_zero_and_of_a_seed_above_the_bound(p, n):
 
 def test_closure_at_the_largest_prime():
     # entries up to p - 1 = 2^31 - 2: products pass 2^53, so each fold's
-    # GEMM splits one factor into 16-bit limbs, and the image sums need
+    # product runs in int64, two terms at a time, and the image sums need
     # their own budget
     ring = Ring(2**31 - 1, 3)
     a1, a2, x1, x2 = ring.a(1), ring.a(2), ring.x(1), ring.x(2)
     for seed in (a1, a1 + a2 * 5, x1 * a2 - a1 * x2):
         assert_spans_equal(steenrod_closure(seed, 7), reference_steenrod_closure(seed, 7))
+
+
+def test_closure_rejects_a_prime_past_int64_elimination():
+    # a seed with one unit coefficient is already in RREF, so no rref call
+    # would check the prime
+    with pytest.raises(ValueError, match="2\\^31"):
+        steenrod_closure(Ring(2**31 + 11, 1).a(1), 3)
 
 
 def test_closure_rejects_an_inhomogeneous_seed():

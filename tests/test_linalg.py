@@ -353,10 +353,9 @@ def test_matmul_mod_is_exact(p, monkeypatch):
     def check(a, b):
         assert np.array_equal(linalg.matmul_mod(a, b, p), python_matmul_mod(a, b, p))
 
-    # the runs of the inner dimension are 2^21 - 1 long at 65537 and one
-    # product long at 94906249, the largest prime with (p - 1)^2 < 2^53; at
-    # 2^31 - 1 one product passes 2^53, and the 16-bit limbs take runs of 63
-    # and 127
+    # the float64 runs of the inner dimension are 2^21 - 1 long at 65537 and
+    # one product long at 94906249, the largest prime with (p - 1)^2 < 2^53;
+    # at 2^31 - 1 one product passes 2^53, and the int64 runs are two long
     k = {65537: 2**21 + 2**18, 2**31 - 1: 300}.get(p, 500)
     a = np.full((1, k), max(1, p - 2), dtype=np.int64)
     b = np.full((k, 2), max(1, p - 2), dtype=np.int64)
@@ -364,10 +363,9 @@ def test_matmul_mod_is_exact(p, monkeypatch):
     check(a, b)
     for m, k, n in [(0, 4, 3), (3, 0, 4), (5, 7, 0), (9, 40, 11), (64, 33, 70)]:
         check(rng.integers(0, p, (m, k)), rng.integers(0, p, (k, n)))
-    # small exactness limits cut the inner dimension at any p (down to runs
-    # of one product, and into limbs from p = 65537), and a small call limit
-    # cuts the rows
-    monkeypatch.setattr(linalg, "FLOAT32_EXACT", 2**7)
+    # a small float64 limit cuts the inner dimension into short runs at
+    # p = 2 and 3 and moves the larger p to int64 runs, and a small call
+    # limit cuts the rows
     monkeypatch.setattr(linalg, "FLOAT64_EXACT", 2**9)
     monkeypatch.setattr(linalg, "GEMM_CALL_LIMIT", 50)
     for m, k, n in [(9, 40, 11), (64, 33, 7), (1, 1000, 1)]:
