@@ -222,8 +222,6 @@ def _ess_data(ring: Ring, degree: int):
     for r, run in groupby(basis.monomials, key=lambda mon: len(mon.ext)):
         mons = tuple(run)
         k = degree if ring.mod2 else (degree - r) // 2
-        exts = combinations(range(1, ring.n + 1), r)
-        assert mons == tuple(product(exts, _compositions(k, ring.n))), "not the block column order"
         kernel = pruned_null_space(_restriction_matrix(ring, r, k), ring.p)
         rows = np.zeros((len(kernel), len(basis)), dtype=np.int64)
         start = basis.index_of(mons[0])
@@ -241,11 +239,6 @@ def ess_basis(ring: Ring, degree: int) -> DegreeSpan:
 def ess_basis_by_rank(ring: Ring, degree: int) -> dict[int, DegreeSpan]:
     """The essential classes of one degree, split by exterior rank."""
     return dict(_ess_data(ring, degree)[1])
-
-
-def ess_elements(ring: Ring, degree: int) -> list[Element]:
-    """The RREF basis of ess_basis as elements."""
-    return monomial_basis(ring, degree).elements(ess_basis(ring, degree).rows)
 
 
 def decompose(y: Element) -> dict[tuple[int, ...], Element]:
@@ -315,7 +308,8 @@ def steenrod_closure(seed: Element, max_degree: int) -> dict[int, DegreeSpan]:
     go through rref_stack, which gives the span; then each generator and
     operation is applied to all of its rows at once, and the block of images
     waits at its target degree, folded there by rref_stack whenever its rows
-    outnumber the basis.
+    outnumber the basis.  The spans, like the waiting blocks, are stored in
+    the smallest dtype that holds p - 1.
     """
     ring = Ring(seed.p, seed.n)
     p = ring.p
@@ -330,7 +324,7 @@ def steenrod_closure(seed: Element, max_degree: int) -> dict[int, DegreeSpan]:
     spans = {}
     total_dim = 0
     for d in range(max_degree + 1):
-        rows = rref_stack(pending.pop(d, ()), p, basis_dimension(ring, d))
+        rows = rref_stack(pending.pop(d, ()), p, basis_dimension(ring, d)).astype(stored)
         spans[d] = DegreeSpan(p, d, rows)
         total_dim += len(rows)
         if total_dim > MAX_CLOSURE_DIMENSION:
@@ -338,7 +332,7 @@ def steenrod_closure(seed: Element, max_degree: int) -> dict[int, DegreeSpan]:
         if not len(rows):
             continue
         support = np.flatnonzero(rows.any(axis=0))
-        for t, maps in _operation_maps(ring, d, support, max_degree).items():
+        for t, maps in _operation_maps(ring, d, support, max_degree):
             width = basis_dimension(ring, t)
             waiting = pending[t]
             waiting += _image_rows(rows[:, support], *maps, width, p)
@@ -347,54 +341,42 @@ def steenrod_closure(seed: Element, max_degree: int) -> dict[int, DegreeSpan]:
     return spans
 
 
-def _operation_maps(ring: Ring, d: int, support: np.ndarray, max_degree: int) -> dict:
+def _operation_maps(ring: Ring, d: int, support: np.ndarray, max_degree: int) -> list:
     """The generators and operations of steenrod_closure on the degree-d
-    monomials at the basis positions in support, as {target degree:
-    (source, target, coefficient, map) arrays} up to max_degree, one entry
-    per term of an image: map number map[i] sends monomial support[source[i]]
-    to coefficient[i] times the monomial at basis position target[i].
+    monomials at the basis positions in support, as (target degree,
+    (source, target, coefficient, map) arrays) pairs up to max_degree, one
+    entry per term of an image: map number map[i] sends monomial
+    support[source[i]] to coefficient[i] times the monomial at basis
+    position target[i].
 
-    Left multiplication by a_i and the Bockstein carry the Koszul sign of
-    a_i passing the a_j with j < i, read from _merge_ext over the distinct
-    exterior parts.  P^k on a_E x^m is a_E times the sum, over the shares j
-    of k with prod C(m_l, j_l) nonzero mod p, of that product times
-    x^(m + (p - 1) j)."""
+    Left multiplication by the a_i (the x_i at p = 2) is _product_map.  The
+    Bockstein sends a_E x^m to the sum over i in E of s a_(E - i) x_i x^m,
+    where a_i a_(E - i) = s a_E.  P^k on a_E x^m is a_E times the sum, over
+    the shares j of k with prod C(m_l, j_l) nonzero mod p, of that product
+    times x^(m + (p - 1) j)."""
     n, p = ring.n, ring.p
     masks, pows = (a[support] for a in monomial_basis(ring, d).arrays)
-    src = np.arange(len(support))
-    unit = np.eye(n, dtype=np.int64)
-    ext_masks, col_ext = np.unique(masks, return_inverse=True)
-    exts = [tuple(j + 1 for j in range(n) if m >> j & 1) for m in ext_masks.tolist()]
-    found = defaultdict(list)
+    found = []
     if d < max_degree:
-        beta = []
-        for i in range(n):
-            if ring.mod2:
-                found[d + 1].append((src, masks, pows + unit[i], np.ones_like(src)))
-                continue
-            # the sign of a_(i + 1) a_E, a_(i + 1) left out of E
-            sign = np.array([_merge_ext((i + 1,), tuple(j for j in ext if j != i + 1))[0]
-                             for ext in exts], dtype=np.int64)[col_ext] % p
-            free = masks & (1 << i) == 0
-            found[d + 1].append((src[free], masks[free] | 1 << i, pows[free], sign[free]))
-            has = ~free
-            beta.append((src[has], masks[has] ^ 1 << i, pows[has] + unit[i], sign[has]))
-        if beta:
-            found[d + 1].append(tuple(map(np.concatenate, zip(*beta))))
+        gens = [ring.x(i) if ring.mod2 else ring.a(i) for i in range(1, n + 1)]
+        found.append((d + 1, _product_map(ring, d, support, _term_arrays(ring, *gens))))
+        if not ring.mod2:
+            i, src = np.nonzero(masks >> np.arange(n)[:, None] & 1)
+            rest, at = np.unique(masks[src] ^ 1 << i, return_inverse=True)
+            sign = _signs(ring, 1 << np.arange(n), rest)[i, at] % p
+            tgt = _positions(ring, d + 1, rest[at], pows[src] + np.eye(n, dtype=np.int64)[i])
+            found.append((d + 1, (src, tgt, sign, np.zeros_like(src))))
     step = 1 if ring.mod2 else 2 * (p - 1)
     k = 1
     while d + k * step <= max_degree:
         # instability: P^k vanishes below degree 2k, Sq^k below degree k
         if k <= (d if ring.mod2 else d // 2):
+            t = d + k * step
             rows, shifted, coef = _power_map(pows, k, p)
-            found[d + k * step].append((rows, masks[rows], shifted, coef))
+            found.append((t, (rows, _positions(ring, t, masks[rows], shifted), coef,
+                              np.zeros_like(rows))))
         k *= p
-    maps = {}
-    for t, parts in found.items():
-        src, masks, pows, coef = map(np.concatenate, zip(*parts))
-        which = np.repeat(np.arange(len(parts)), [len(part[0]) for part in parts])
-        maps[t] = src, _positions(ring, t, masks, pows), coef, which
-    return maps
+    return found
 
 
 def _power_map(pows: np.ndarray, k: int, p: int):
@@ -416,13 +398,53 @@ def _power_map(pows: np.ndarray, k: int, p: int):
 IMAGE_CHUNK_CELLS = 2**21
 
 
+def _signs(ring: Ring, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The Koszul signs of a_T a_E for the exterior bitmasks (bit i - 1 for
+    a_i) T in left and E in right, 0 where T meets E, read from _merge_ext."""
+    exts = [[tuple(i + 1 for i in range(ring.n) if m >> i & 1) for m in a.tolist()]
+            for a in (left, right)]
+    return np.array([[(_merge_ext(t, e) or (0,))[0] for e in exts[1]] for t in exts[0]],
+                    dtype=np.int64).reshape(len(left), len(right))
+
+
+def _term_arrays(ring: Ring, *elements: Element) -> tuple:
+    """Elements g_0, g_1, ... as the term arrays (which, masks, pows, coef)
+    that _product_map reads: term i is coef[i] a_E x^pows[i] in g_which[i],
+    E given by the bitmask masks[i]."""
+    table = np.array([(k, sum(1 << (i - 1) for i in ext), c, *exps)
+                      for k, g in enumerate(elements) for (ext, exps), c in g.terms.items()],
+                     dtype=np.int64).reshape(-1, 3 + ring.n)
+    return table[:, 0], table[:, 1], table[:, 3:], table[:, 2]
+
+
+def _product_map(ring: Ring, d: int, support: np.ndarray, g: tuple) -> tuple:
+    """The maps y -> g_k y on the degree-d monomials at the basis positions
+    in support, as the (source, target, coefficient, map) arrays of
+    _operation_maps, map k for g_k.  The g_k share one degree and are given
+    as term arrays (see _term_arrays).  A term c a_T x^q times a_E x^m is
+    sign(T, E) c a_(T u E) x^(q + m), the sign read from one _signs table
+    over the distinct T and E; targets are found by _positions, so no basis
+    of the degree of g or of the product is built."""
+    which, g_masks, g_pows, g_coef = g
+    masks, pows = (a[support] for a in monomial_basis(ring, d).arrays)
+    g_exts, g_ext = np.unique(g_masks, return_inverse=True)
+    exts, ext = np.unique(masks, return_inverse=True)
+    live = _signs(ring, g_exts, exts)[g_ext][:, ext]
+    term, src = np.nonzero(live)
+    t = d  # plus the degree of g, read from any term
+    if len(which):
+        t += bin(int(g_masks[0])).count("1") + (1 if ring.mod2 else 2) * int(g_pows[0].sum())
+    tgt = _positions(ring, t, g_masks[term] | masks[src], g_pows[term] + pows[src])
+    return src, tgt, live[term, src] * g_coef[term] % ring.p, which[term]
+
+
 def _image_rows(sub: np.ndarray, src, tgt, coef, which, width: int, p: int) -> list:
     """The images of the rows of sub (one column per source) under the maps
-    of _operation_maps into a degree with basis of the given width, one
-    block per map, reduced mod p into the smallest dtype that holds p - 1,
-    zero rows dropped.  The (source, target) pairs are added in rounds that
-    hit each target at most once, reduced before int64 could overflow, on
-    chunks of rows of bounded size."""
+    of _operation_maps or _product_map into a degree with basis of the
+    given width, one block per map, reduced mod p into the smallest dtype
+    that holds p - 1, zero rows dropped.  The (source, target) pairs are
+    added in rounds that hit each target at most once, reduced before int64
+    could overflow, on chunks of rows of bounded size."""
     if not len(which):
         return []
     cols, tgt = np.unique(which * width + tgt, return_inverse=True)

@@ -98,11 +98,6 @@ def null_space(mat: np.ndarray, p: int) -> np.ndarray:
     return rref(basis, p)
 
 
-def left_null_space(mat: np.ndarray, p: int) -> np.ndarray:
-    """RREF basis of {v : v @ mat = 0 mod p}."""
-    return null_space(np.asarray(mat).T, p)
-
-
 # float64 holds every integer below 2^53 exactly
 FLOAT64_EXACT = 2**53
 

@@ -17,12 +17,14 @@ from itertools import combinations
 
 import numpy as np
 
-from .algebra import Element, Ring, _element, _exterior_blocks, _merge_ext
+from .algebra import Element, Ring, _element
 from .essential import (
+    _image_rows,
+    _product_map,
+    _term_arrays,
     decompose,
     ess_basis,
     ess_basis_by_rank,
-    ess_elements,
     maximal_subgroups,
     proof_word,
     restrict,
@@ -39,13 +41,11 @@ from .invariants import (
 )
 from .linalg import (
     DegreeSpan,
-    _positions,
     _read_only,
     basis_dimension,
     monomial_basis,
     pruned_null_space,
-    span_of,
-    zero_span,
+    rref_stack,
 )
 from .steenrod import apply_word, bockstein, format_word, power_op
 
@@ -201,25 +201,33 @@ def _check_eqn_ln(ring: Ring, max_degree: int) -> list[Case]:
     return [_element_case("det-equals-monic-product", prod, l_n(ring))]
 
 
+def _product_span(ring: Ring, d: int, factors) -> DegreeSpan:
+    """The span in degree d of the products u v over the (us, vs, d') in
+    factors: u a coordinate row of us in degree d - d', v one of vs in d'."""
+    width = basis_dimension(ring, d)
+    blocks = []
+    for us, vs, d2 in factors:
+        k, col = np.nonzero(us)
+        masks, pows = monomial_basis(ring, d - d2).arrays
+        support = np.flatnonzero(vs.any(axis=0))
+        maps = _product_map(ring, d2, support, (k, masks[col], pows[col], us[k, col]))
+        blocks += _image_rows(vs[:, support], *maps, width, ring.p)
+    return DegreeSpan(ring.p, d, rref_stack(blocks, ring.p, width))
+
+
 def _check_p2(ring: Ring, max_degree: int) -> list[Case]:
     """At p = 2 the essential ideal is principal on L_n: free of rank one
-    over the polynomial ring, and the Steenrod closure of that generator."""
+    over the polynomial ring, and the Steenrod closure of that generator.
+    The span of L_n F_2[x] in degree d is the image of multiplication by
+    L_n on the whole degree d - deg L_n."""
     big_l = l_n(ring)
     deg_l = big_l.total_degree()
     cases = []
     for d in range(max_degree + 1):
         actual = ess_basis(ring, d)
-        if d < deg_l:
-            expected = zero_span(ring.p, d, len(monomial_basis(ring, d)))
-            count = 0
-        else:
-            mons = monomial_basis(ring, d - deg_l)
-            expected = span_of(
-                ring,
-                d,
-                [big_l * Element(ring.p, ring.n, {tuple(m): 1}) for m in mons.monomials],
-            )
-            count = basis_dimension(ring, d - deg_l)
+        count = basis_dimension(ring, d - deg_l) if d >= deg_l else 0
+        whole = [(_l_n_row(ring), np.eye(count, dtype=np.uint8), d - deg_l)] if count else []
+        expected = _product_span(ring, d, whole)
         cases.append(_span_case(f"principal[d={d}]", ring, expected, actual))
         cases.append(
             Case(
@@ -258,32 +266,28 @@ def _check_mns(ring: Ring, max_degree: int) -> list[Case]:
     return cases
 
 
+def _l_n_row(ring: Ring) -> np.ndarray:
+    """L_n as a coordinate row of its degree."""
+    big_l = l_n(ring)
+    return monomial_basis(ring, big_l.total_degree()).coords(big_l)[None]
+
+
+def _ess_squared_spans(ring: Ring, d: int) -> tuple[DegreeSpan, DegreeSpan]:
+    """The span in degree d of L_n times the essential classes, and that of
+    the products of two essential classes.  The products u v take u of
+    degree d1 <= d / 2: the others are the same up to sign."""
+    deg_l = l_n(ring).total_degree()
+    multiples = [(_l_n_row(ring), ess_basis(ring, d - deg_l).rows, d - deg_l)] if d >= deg_l else []
+    products = [(ess_basis(ring, d1).rows, ess_basis(ring, d - d1).rows, d - d1)
+                for d1 in range(1, d // 2 + 1)]
+    return _product_span(ring, d, multiples), _product_span(ring, d, products)
+
+
 def _check_ess_squared(ring: Ring, max_degree: int) -> list[Case]:
     """Products of essential classes span exactly L_n times the essentials,
     degree by degree."""
-    big_l = l_n(ring)
-    deg_l = big_l.total_degree()
-    elems = {d: ess_elements(ring, d) for d in range(max_degree + 1)}
-    cases = []
-    for d in range(max_degree + 1):
-        products = []
-        for d1 in range(1, d // 2 + 1):
-            us, vs = elems[d1], elems[d - d1]
-            if d1 == d - d1:
-                for i, u in enumerate(us):
-                    for v in vs[i:]:
-                        products.append(u * v)
-            else:
-                for u in us:
-                    for v in vs:
-                        products.append(u * v)
-        lhs = span_of(ring, d, products)
-        if d >= deg_l:
-            rhs = span_of(ring, d, [big_l * e for e in elems[d - deg_l]])
-        else:
-            rhs = zero_span(ring.p, d, len(monomial_basis(ring, d)))
-        cases.append(_span_case(f"square[d={d}]", ring, rhs, lhs))
-    return cases
+    return [_span_case(f"square[d={d}]", ring, *_ess_squared_spans(ring, d))
+            for d in range(max_degree + 1)]
 
 
 def _check_mnst(ring: Ring, max_degree: int) -> list[Case]:
@@ -306,57 +310,35 @@ def _check_mnst(ring: Ring, max_degree: int) -> list[Case]:
 
 @lru_cache(maxsize=None)
 def _joint_annihilator(ring: Ring, d: int, subsets: tuple[tuple[int, ...], ...]) -> DegreeSpan:
-    """Kernel of y -> (y * M_S)_S on the degree-d basis; cached, since
+    """Kernel of y -> (M_S * y)_S on the degree-d basis; cached, since
     coroll:jointAnn2 at r = 1 asks for the subsets of lemma:jointAnn.
 
-    The matrix is built in one numpy pass per (S, exterior part T of M_S):
-    a basis monomial a_E x^m times a term c a_T x^q of M_S is
-    sign(E, T) c a_(E u T) x^(m + q), the Koszul sign read from a table over
-    the distinct E (zero when E meets T).  Its rows are the (S, monomial)
-    pairs that occur, numbered for each S by np.unique of the monomials'
-    positions in their degree basis, which is never built; the entries,
-    reduced mod p, are stored in the smallest dtype that holds p - 1."""
-    p, n = ring.p, ring.n
-    basis = monomial_basis(ring, d)
-    masks, pows = basis.arrays
-    ext_masks, col_ext = np.unique(masks, return_inverse=True)
-    exts = [tuple(i + 1 for i in range(n) if m >> i & 1) for m in ext_masks.tolist()]
+    Each M_S * y is _product_map.  At odd p every monomial of degree d has
+    exterior rank d mod 2, so M_S * y = (-1)^(d |S|) y * M_S: each block of
+    rows changes by one sign, and the kernel is that of the right products.
+    The rows are the (S, monomial) pairs that occur, numbered for each S by
+    np.unique of the monomials' basis positions; the entries are stored in
+    the smallest dtype that holds p - 1."""
+    p, dim = ring.p, basis_dimension(ring, d)
     rows, cols, vals = [], [], []
     height = 0
     for s in subsets:
-        degree, parts = _exterior_parts(ring, s)
-        targets = []
-        for t_ext, shift, coef in parts:
-            merged = (_merge_ext(ext, t_ext) for ext in exts)
-            sign = np.array([m[0] if m else 0 for m in merged], dtype=np.int64)[col_ext]
-            live = np.flatnonzero(sign)
-            t_mask = sum(1 << (i - 1) for i in t_ext)
-            targets.append(_positions(ring, d + degree, np.repeat(masks[live] | t_mask, len(coef)),
-                                      (pows[live, None, :] + shift[None]).reshape(-1, n)))
-            cols.append(np.repeat(live, len(coef)))
-            vals.append((sign[live, None] * coef[None]).reshape(-1) % p)
-        if targets:
-            _, found = np.unique(np.concatenate(targets), return_inverse=True)
-            rows.append(height + found)
-            height += int(found.max(initial=-1)) + 1
-    mat = np.zeros((height, len(basis)), dtype=np.min_scalar_type(p - 1))
+        src, tgt, coef, _ = _product_map(ring, d, np.arange(dim), _mui_terms(ring, s))
+        _, found = np.unique(tgt, return_inverse=True)
+        rows.append(height + found)
+        cols.append(src)
+        vals.append(coef)
+        height += int(found.max(initial=-1)) + 1
+    mat = np.zeros((height, dim), dtype=np.min_scalar_type(p - 1))
     if rows:
         mat[np.concatenate(rows), np.concatenate(cols)] = np.concatenate(vals)
     return DegreeSpan(p, d, pruned_null_space(mat, p))
 
 
 @lru_cache(maxsize=None)
-def _exterior_parts(ring: Ring, subset: tuple[int, ...]):
-    """The degree of M_S, and M_S by exterior part: (T, exponent rows,
-    coefficients) for each T."""
-    m_s = mui_set(ring, subset)
-    return m_s.total_degree(), [
-        (ext, *_read_only(
-            np.array([q for q, _ in terms], dtype=np.int64).reshape(len(terms), ring.n),
-            np.array([c for _, c in terms], dtype=np.int64),
-        ))
-        for ext, terms in _exterior_blocks(m_s.terms).items()
-    ]
+def _mui_terms(ring: Ring, subset: tuple[int, ...]) -> tuple:
+    """M_S as the term arrays of _product_map."""
+    return _read_only(*_term_arrays(ring, mui_set(ring, subset)))
 
 
 def _high_rank_span(ring: Ring, d: int, min_rank: int) -> DegreeSpan:

@@ -16,13 +16,14 @@ from hypothesis import strategies as st
 from mui import Element, NotDivisibleError, Ring, ZERO, l_n, mui_set
 from mui import essential, field
 from mui.algebra import _element, _merge_ext
-from mui.essential import MaximalSubgroup, maximal_subgroups, restrict
+from mui.essential import MaximalSubgroup, ess_basis, maximal_subgroups, restrict
 from mui.linalg import (
     DegreeBasis,
     DegreeSpan,
     SpanBuilder,
     monomial_basis,
     pruned_null_space,
+    span_of,
     zero_span,
 )
 from mui.steenrod import bockstein, power_op
@@ -387,6 +388,27 @@ def reference_joint_annihilator(ring: Ring, d: int, subsets) -> DegreeSpan:
     basis = monomial_basis(ring, d)
     gens = [Element(ring.p, ring.n, {tuple(mon): 1}) for mon in basis.monomials]
     return kernel_of_map(basis, *([y * mui_set(ring, s) for y in gens] for s in subsets))
+
+
+def reference_ess_squared_spans(ring: Ring, d: int) -> tuple[DegreeSpan, DegreeSpan]:
+    """Reference for verify._ess_squared_spans: L_n times the essential
+    basis elements of degree d - deg L_n, and the products u v of those of
+    degrees d1 <= d / 2 and d - d1 (v not before u when the degrees agree),
+    each formed pair by pair by Element products and row reduced by
+    span_of."""
+    def elems(degree):
+        return monomial_basis(ring, degree).elements(ess_basis(ring, degree).rows)
+
+    products = []
+    for d1 in range(1, d // 2 + 1):
+        us, vs = elems(d1), elems(d - d1)
+        for i, u in enumerate(us):
+            for v in vs[i:] if d1 == d - d1 else vs:
+                products.append(u * v)
+    big_l = l_n(ring)
+    deg_l = big_l.total_degree()
+    multiples = [big_l * e for e in elems(d - deg_l)] if d >= deg_l else []
+    return span_of(ring, d, multiples), span_of(ring, d, products)
 
 
 def reference_cartan_splits(pows: tuple[int, ...], k: int, p: int):

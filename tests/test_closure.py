@@ -3,9 +3,10 @@ import random
 import numpy as np
 import pytest
 
-from mui import Ring, l_n, monomial_basis, mui, steenrod_closure
-from mui.linalg import _positions
+from mui import Ring, ess_basis, l_n, monomial_basis, mui, steenrod_closure
+from mui.linalg import _positions, zero_span
 from mui.steenrod import _cartan_splits
+from mui.verify import _span_case
 from helpers import reference_cartan_splits, reference_steenrod_closure
 
 # (p, n, max_degree) of the closure cross-checks; the closures of the top
@@ -28,10 +29,13 @@ def seeds(ring: Ring):
 
 
 def assert_spans_equal(spans, reference):
+    # the closure keeps its rows in the smallest dtype that holds p - 1, the
+    # reference in int64; the entries must agree
     assert sorted(spans) == sorted(reference)
     for d, span in spans.items():
         expected = reference[d]
-        assert span.rows.dtype == expected.rows.dtype == np.int64, d
+        assert span.rows.dtype == np.min_scalar_type(span.p - 1), d
+        assert expected.rows.dtype == np.int64, d
         assert span == expected, (d, span, expected)
 
 
@@ -52,6 +56,28 @@ def test_closure_of_zero_and_of_a_seed_above_the_bound(p, n):
         spans = steenrod_closure(seed, bound)
         assert_spans_equal(spans, reference_steenrod_closure(seed, bound))
         assert all(span.dim == 0 for span in spans.values())
+
+
+@pytest.mark.parametrize("p,n,max_degree", [(2, 3, 15), (3, 3, 22)])
+def test_closure_spans_in_the_small_dtype_serve_every_consumer(p, n, max_degree):
+    # the span comparison of the claims, membership, elements and the
+    # benchmark digest's int64 bytes read the small rows as the reference's
+    ring = Ring(p, n)
+    seed = seeds(ring)[0]
+    spans, reference = steenrod_closure(seed, max_degree), reference_steenrod_closure(seed, max_degree)
+    for d, span in spans.items():
+        expected = reference[d]
+        basis = monomial_basis(ring, d)
+        assert span.rows.dtype == np.uint8
+        assert np.array_equal(span.rows, expected.rows)
+        assert span.rows.astype("<i8").tobytes() == expected.rows.astype("<i8").tobytes()
+        assert _span_case("c", ring, ess_basis(ring, d), span).passed
+        assert basis.elements(span.rows) == basis.elements(expected.rows)
+        for vec in np.eye(len(basis), dtype=np.int64):
+            assert span.contains_vector(vec) == expected.contains_vector(vec), (d, vec)
+        if span.dim:
+            empty = zero_span(p, d, len(basis))
+            assert _span_case("c", ring, empty, span) == _span_case("c", ring, empty, expected)
 
 
 def test_closure_at_the_largest_prime():

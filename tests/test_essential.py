@@ -1,5 +1,5 @@
 import random
-from itertools import combinations, groupby
+from itertools import combinations, groupby, product
 
 import numpy as np
 import pytest
@@ -22,14 +22,22 @@ from mui import (
     steenrod_closure,
 )
 from mui import essential
-from mui.essential import MaximalSubgroup, proof_word, projective_forms
-from mui.linalg import DegreeBasis
+from mui.essential import (
+    MaximalSubgroup,
+    _image_rows,
+    _product_map,
+    _term_arrays,
+    proof_word,
+    projective_forms,
+)
+from mui.linalg import DegreeBasis, _compositions
 from mui.steenrod import apply_word
 from helpers import (
     all_subsets,
     homogeneous_elements,
     last_nonzero,
     rand_element,
+    rand_homogeneous,
     rand_poly,
     reference_ess_basis,
     reference_ess_by_rank,
@@ -197,6 +205,8 @@ def test_restriction_block_matches_restrict(p, n, top):
         for r, run in groupby(monomial_basis(ring, d).monomials, key=lambda mon: len(mon.ext)):
             mons = tuple(run)
             k = d if ring.mod2 else (d - r) // 2
+            # the column order of the block, which _ess_data relies on
+            assert mons == tuple(product(combinations(range(1, n + 1), r), _compositions(k, n)))
             blocks = np.split(essential._restriction_matrix(ring, r, k), len(subs))
             for H, block in zip(subs, blocks):
                 cod = monomial_basis(H.subring, d).monomials
@@ -210,6 +220,33 @@ def test_restriction_block_matches_restrict(p, n, top):
                     img = restrict(y, H)
                     assert img == reference_restrict(y, H), (H, mon)
                     assert np.array_equal(col, cod.coords(img)), (H, mon)
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (3, 3), (5, 2), (2, 3)])
+def test_product_map_matches_element_products(p, n):
+    # the blocks g_k y of _image_rows over _product_map, for one g and for
+    # several, against the coordinates of the Element products
+    ring = Ring(p, n)
+    rng = random.Random(p * 10 + n)
+    for trial in range(40):
+        d, e = rng.randrange(8), rng.randrange(8)
+        gs = [rand_homogeneous(ring, rng, e) for _ in range(1 + trial % 3)]
+        ys = [rand_homogeneous(ring, rng, d) for _ in range(3)]
+        basis, target = monomial_basis(ring, d), monomial_basis(ring, d + e)
+        rows = np.array([basis.coords(y) for y in ys]).reshape(len(ys), len(basis))
+        support = np.flatnonzero(rows.any(axis=0)) if trial % 2 else np.arange(len(basis))
+        maps = _product_map(ring, d, support, _term_arrays(ring, *gs))
+        blocks = _image_rows(rows[:, support], *maps, len(target), p)
+        assert len(blocks) <= len(gs)
+        empty = np.zeros((0, len(target)), dtype=np.int64)
+        for k, g in enumerate(gs):
+            expected = [target.coords(g * y) for y in ys if g * y]
+            got = blocks[k] if k < len(blocks) else empty
+            assert np.array_equal(got, np.array(expected).reshape(-1, len(target))), (gs, ys, k)
+        # an empty support has no images
+        none = np.zeros(0, dtype=np.int64)
+        assert _image_rows(rows[:, none], *_product_map(ring, d, none, _term_arrays(ring, *gs)),
+                           len(target), p) == []
 
 
 def test_ess_basis_makes_no_restriction(monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 from mui import Ring, basis_dimension, monomial_basis, span_of
 from mui import linalg
 from mui.essential import maximal_subgroups, restrict
-from mui.linalg import SpanBuilder, left_null_space, null_space, rref
+from mui.linalg import SpanBuilder, null_space, rref
 from helpers import kernel_of_map, rand_homogeneous, reference_null_space, reference_rref
 
 R32 = Ring(3, 2)
@@ -317,15 +317,6 @@ def test_elimination_refuses_primes_that_overflow_int64():
         rref(np.array([[2, 3], [5, 7]]), 8589934609)
     with pytest.raises(ValueError):
         SpanBuilder(2, 8589934609)
-
-
-def test_left_null_space_annihilates():
-    rng = np.random.default_rng(1)
-    for _ in range(40):
-        m = rng.integers(0, 5, size=(6, 4))
-        basis = left_null_space(m, 5)
-        assert not (basis @ m % 5).any()
-        assert basis.shape[0] == 6 - rref(m.T, 5).shape[0]
 
 
 def test_span_builder_matches_batch_rref():

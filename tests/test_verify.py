@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from mui import CLAIMS, ConfigError, Ring, claim_ids, run_all, run_claim
-from mui.verify import _joint_annihilator, check_resources
-from helpers import reference_joint_annihilator
+from mui.verify import _ess_squared_spans, _joint_annihilator, check_resources
+from helpers import reference_ess_squared_spans, reference_joint_annihilator
 
 R32 = Ring(3, 2)
 
@@ -109,6 +109,16 @@ def test_joint_annihilator_matches_reference(p, n, max_degree):
             expected = reference_joint_annihilator(ring, d, subsets)
             assert got.rows.dtype == np.int64
             assert got == expected, (subsets, d)
+
+
+@pytest.mark.parametrize("p,n,max_degree", [(3, 2, 20), (3, 3, 20), (5, 2, 12)])
+def test_ess_squared_spans_match_pairwise_reference(p, n, max_degree):
+    ring = Ring(p, n)
+    for d in range(max_degree + 1):
+        for got, expected in zip(_ess_squared_spans(ring, d), reference_ess_squared_spans(ring, d)):
+            assert got.rows.dtype == expected.rows.dtype == np.int64
+            assert got.rows.shape == expected.rows.shape
+            assert got.rows.tobytes() == expected.rows.tobytes(), d
 
 
 def test_joint_annihilator_at_rank_four_fits_in_two_gigabytes():
