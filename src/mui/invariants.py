@@ -1,10 +1,12 @@
 """The named invariants of the natural GL-action.
 
 All of them derive from the n x n matrix whose (s, i) entry is x_i^(p^(s-1)):
-its determinant L_n, its minors, the mixed determinants M_{n,s} obtained by
-replacing one power row with the exterior row (a_1 .. a_n), the subset
-invariants M_{n,S}, and the Dickson coefficients of the fundamental equation
-x^(p^n) = sum of lambda_r x^(p^r).
+its determinant L_n, its minors, the subset invariants M_{n,S} obtained by
+replacing the rows in S with exterior rows (a_1 .. a_n) (Mui 1975), with
+M_{n,s} = M_{n,{s}}, and the Dickson coefficients of the fundamental equation
+x^(p^n) = sum of lambda_r x^(p^r).  Each is built from one cached power-matrix
+determinant; M_{n,S} is its Laplace expansion along the exterior rows, and the
+product rule M_S M_T = +-L_n M_{S u T} is a theorem that eq:MnST checks.
 
 The Dickson coefficients are Moore-determinant quotients (Dickson 1911;
 Wilkerson 1983): with D_r the determinant of the power rows p^0..p^n with
@@ -17,6 +19,7 @@ so lambda_r = (-1)^(n-r+1) c_{n,r}.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 
 from .algebra import Element, Ring
 
@@ -50,63 +53,58 @@ def _power_entry(ring: Ring, s: int, i: int) -> Element:
     return ring.monomial((), pows)
 
 
-def _power_rows(ring: Ring, rows: list[int]) -> list[list[Element]]:
-    return [[_power_entry(ring, s, i) for i in range(1, ring.n + 1)] for s in rows]
-
-
 @lru_cache(maxsize=None)
+def _power_det(ring: Ring, rows: tuple[int, ...], cols: tuple[int, ...]) -> Element:
+    """det of the entries x_i^(p^(s-1)), s in rows, i in cols (1 when both
+    are empty), by cofactor expansion along the first row.  The cache
+    shares every smaller determinant among L_n, the minors, the M_{n,S} and
+    the Dickson numerators."""
+    if not rows:
+        return ring.one()
+    total = ring.zero()
+    for k, i in enumerate(cols):
+        term = _power_entry(ring, rows[0], i) * _power_det(ring, rows[1:], cols[:k] + cols[k + 1:])
+        total = total + (-term if k % 2 else term)
+    return total
+
+
+def _others(ring: Ring, drop: tuple[int, ...] = ()) -> tuple[int, ...]:
+    """1..n without the indices in drop."""
+    return tuple(i for i in range(1, ring.n + 1) if i not in drop)
+
+
 def l_n(ring: Ring) -> Element:
     """det of the power matrix; equals the product of all monic linear forms."""
-    if ring.n == 0:
-        return ring.one()
-    return det(_power_rows(ring, list(range(1, ring.n + 1))))
+    return _power_det(ring, _others(ring), _others(ring))
 
 
-@lru_cache(maxsize=None)
 def minor(ring: Ring, s: int, i: int) -> Element:
     """Minor of the power matrix with row s and column i removed."""
     _check_row(ring, s)
     _check_row(ring, i)
-    rows = [r for r in range(1, ring.n + 1) if r != s]
-    cells = [
-        [_power_entry(ring, r, c) for c in range(1, ring.n + 1) if c != i]
-        for r in rows
-    ]
-    if not cells:
-        return ring.one()
-    return det(cells)
+    return _power_det(ring, _others(ring, (s,)), _others(ring, (i,)))
 
 
-@lru_cache(maxsize=None)
 def mui(ring: Ring, s: int) -> Element:
     """The rank-one invariant M_{n,s}: the power matrix with row s replaced
-    by the exterior generators, expanded along that row."""
-    _require_odd(ring)
-    _check_row(ring, s)
-    total = ring.zero()
-    for i in range(1, ring.n + 1):
-        term = minor(ring, s, i) * ring.a(i)
-        if i % 2 == 0:
-            term = -term
-        total = total + term
-    return total
+    by the exterior generators."""
+    return mui_set(ring, (s,))
 
 
 @lru_cache(maxsize=None)
 def mui_set(ring: Ring, subset: tuple[int, ...]) -> Element:
-    """The subset invariant: the product of the M_{n,s} for s in the subset,
-    divided exactly by L_n^(r-1).  The empty subset gives L_n."""
+    """The subset invariant M_{n,S}: the power matrix with the rows in S
+    replaced by exterior rows, by Laplace expansion along them,
+    (-1)^|S| sum over |I| = |S| of (-1)^(sum I) a_I det(rows not in S,
+    columns not in I).  The empty subset gives L_n."""
     _require_odd(ring)
     subset = _normalize_subset(ring, subset)
-    if not subset:
-        return l_n(ring)
-    prod = mui(ring, subset[0])
-    for s in subset[1:]:
-        prod = prod * mui(ring, s)
-    r = len(subset)
-    if r > 1:
-        prod = prod.exact_divide(l_n(ring) ** (r - 1))
-    return prod
+    rest = _others(ring, subset)
+    total = ring.zero()
+    for cols in combinations(range(1, ring.n + 1), len(subset)):
+        term = ring.monomial(cols) * _power_det(ring, rest, _others(ring, cols))
+        total = total + (-term if (len(subset) + sum(cols)) % 2 else term)
+    return total
 
 
 def product_sign(s_set: tuple[int, ...], t_set: tuple[int, ...]) -> int:
@@ -128,8 +126,8 @@ def dickson(ring: Ring, r: int) -> Element:
     power rows p^0..p^n with row p^r left out, divided exactly by L_n."""
     if not 0 <= r < ring.n:
         raise ValueError(f"Dickson index {r} out of range 0..{ring.n - 1}")
-    rows = [s for s in range(1, ring.n + 2) if s != r + 1]
-    return det(_power_rows(ring, rows)).exact_divide(l_n(ring))
+    rows = tuple(s for s in range(1, ring.n + 2) if s != r + 1)
+    return _power_det(ring, rows, _others(ring)).exact_divide(l_n(ring))
 
 
 def subset_degree(ring: Ring, subset: tuple[int, ...]) -> int:

@@ -81,21 +81,19 @@ def _pivots(rows: np.ndarray) -> np.ndarray:
 
 
 def null_space(mat: np.ndarray, p: int) -> np.ndarray:
-    """RREF basis of {v : mat @ v = 0 mod p}."""
+    """RREF basis of {v : mat @ v = 0 mod p}.  With the columns reversed,
+    the kernel vector of free column f is 1 at f, 0 on the other free
+    columns and on pivot columns after f; reversed back, it is already RREF."""
     mat = np.asarray(mat, dtype=np.int64)
-    reduced = rref(mat, p)
+    reduced = rref(mat[:, ::-1], p)
     pivots = _pivots(reduced)
     free = np.ones(mat.shape[1], dtype=bool)
     free[pivots] = False
     free = np.flatnonzero(free)
     basis = np.zeros((len(free), mat.shape[1]), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
-    if not len(pivots):
-        return basis  # the identity, already RREF
     basis[:, pivots] = -reduced[:, free].T % p
-    # row k carries -reduced[:, f] (f = free[k]) on pivot columns left of f,
-    # so its leading entry is not at f and the basis needs its own RREF
-    return rref(basis, p)
+    return basis[::-1, ::-1]
 
 
 # float64 holds every integer below 2^53 exactly

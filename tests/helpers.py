@@ -8,15 +8,17 @@ import signal
 import time
 from collections import defaultdict
 from contextlib import contextmanager
+from functools import lru_cache
 from itertools import combinations, groupby, product
 
 import numpy as np
 from hypothesis import strategies as st
 
-from mui import Element, NotDivisibleError, Ring, ZERO, l_n, mui_set
+from mui import Element, NotDivisibleError, Ring, ZERO, det, l_n, mui_set
 from mui import essential, field
 from mui.algebra import _element, _merge_ext
 from mui.essential import MaximalSubgroup, ess_basis, maximal_subgroups, restrict
+from mui.invariants import _check_row, _normalize_subset, _power_entry, _require_odd
 from mui.linalg import (
     DegreeBasis,
     DegreeSpan,
@@ -261,6 +263,67 @@ def reference_is_essential(y: Element) -> bool:
     """Reference for is_essential: reference_restrict to every maximal
     subgroup vanishes."""
     return all(reference_restrict(y, H).is_zero() for H in maximal_subgroups(Ring(y.p, y.n)))
+
+
+def _power_rows(ring: Ring, rows: list[int]) -> list[list[Element]]:
+    return [[_power_entry(ring, s, i) for i in range(1, ring.n + 1)] for s in rows]
+
+
+@lru_cache(maxsize=None)
+def reference_l_n(ring: Ring) -> Element:
+    """Reference for l_n: det of the power matrix, cell by cell."""
+    if ring.n == 0:
+        return ring.one()
+    return det(_power_rows(ring, list(range(1, ring.n + 1))))
+
+
+@lru_cache(maxsize=None)
+def reference_minor(ring: Ring, s: int, i: int) -> Element:
+    """Reference for minor: the power matrix with row s and column i
+    removed, cell by cell."""
+    _check_row(ring, s)
+    _check_row(ring, i)
+    rows = [r for r in range(1, ring.n + 1) if r != s]
+    cells = [
+        [_power_entry(ring, r, c) for c in range(1, ring.n + 1) if c != i]
+        for r in rows
+    ]
+    if not cells:
+        return ring.one()
+    return det(cells)
+
+
+@lru_cache(maxsize=None)
+def reference_mui(ring: Ring, s: int) -> Element:
+    """Reference for mui: the power matrix with row s replaced by the
+    exterior generators, expanded along that row."""
+    _require_odd(ring)
+    _check_row(ring, s)
+    total = ring.zero()
+    for i in range(1, ring.n + 1):
+        term = reference_minor(ring, s, i) * ring.a(i)
+        if i % 2 == 0:
+            term = -term
+        total = total + term
+    return total
+
+
+@lru_cache(maxsize=None)
+def reference_mui_set(ring: Ring, subset: tuple[int, ...]) -> Element:
+    """Reference for mui_set: the product of the M_{n,s} for s in the
+    subset, divided exactly by L_n^(r-1).  The empty subset gives L_n.
+    Slow: all 31 subsets at (3,5) take minutes."""
+    _require_odd(ring)
+    subset = _normalize_subset(ring, subset)
+    if not subset:
+        return reference_l_n(ring)
+    prod = reference_mui(ring, subset[0])
+    for s in subset[1:]:
+        prod = prod * reference_mui(ring, s)
+    r = len(subset)
+    if r > 1:
+        prod = prod.exact_divide(reference_l_n(ring) ** (r - 1))
+    return prod
 
 
 def reference_complement_sign(ring: Ring, subset: tuple[int, ...]) -> int:

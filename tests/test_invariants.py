@@ -19,6 +19,10 @@ from helpers import (
     fundamental_product,
     reference_complement_sign,
     reference_dickson,
+    reference_l_n,
+    reference_minor,
+    reference_mui,
+    reference_mui_set,
 )
 
 R32 = Ring(3, 2)
@@ -120,7 +124,48 @@ def test_product_sign_matches_the_reference_on_complementary_pairs():
             assert product_sign(subset, comp) == reference_complement_sign(ring, subset)
 
 
-@pytest.mark.parametrize("ring", [R32, R33, R52])
+@pytest.mark.parametrize(
+    "p,n", [(3, 1), (3, 2), (3, 3), (5, 2), (5, 3), (7, 3), (3, 4), (5, 4)]
+)
+def test_invariants_equal_the_product_and_divide_references(p, n):
+    # the Laplace expansion against the cofactor rows and the product of the
+    # M_{n,s} divided by L_n^(r-1)
+    ring = Ring(p, n)
+    assert l_n(ring) == reference_l_n(ring)
+    for s in range(1, n + 1):
+        assert mui(ring, s) == reference_mui(ring, s)
+        for i in range(1, n + 1):
+            assert minor(ring, s, i) == reference_minor(ring, s, i)
+    for subset in all_subsets(n):
+        assert mui_set(ring, subset) == reference_mui_set(ring, subset), subset
+
+
+def test_subset_invariants_at_rank_five():
+    # the product-and-divide reference takes minutes here; instead the
+    # rank-one invariants are expanded along their exterior row, and the
+    # product rule builds every larger subset from them
+    ring = Ring(3, 5)
+    for s in range(1, ring.n + 1):
+        row = ring.zero()
+        for i in range(1, ring.n + 1):
+            row = row + minor(ring, s, i) * ring.a(i) * (-1) ** (i + 1)
+        assert mui(ring, s) == row
+    for subset in all_subsets(ring.n):
+        m = mui_set(ring, subset)
+        assert m.total_degree() == subset_degree(ring, subset)
+        assert m.exterior_ranks() == {len(subset)}
+    top = ring.monomial((1, 2, 3, 4, 5))
+    assert mui_set(ring, (1, 2, 3, 4, 5)) in (top, -top)
+    pairs = [((), (1, 3)), ((1,), (2,)), ((1, 2), (3,)), ((1, 2, 3), (4,)),
+             ((1, 2, 3, 4), (5,)), ((2, 4), (3,)), ((1, 3), (2, 5)), ((5,), (1, 2, 3, 4))]
+    for s_set, t_set in pairs:
+        union = tuple(sorted(s_set + t_set))
+        prod = mui_set(ring, s_set) * mui_set(ring, t_set)
+        assert prod == l_n(ring) * mui_set(ring, union) * product_sign(s_set, t_set)
+    assert (mui_set(ring, (2, 3)) * mui_set(ring, (3, 4))).is_zero()
+
+
+@pytest.mark.parametrize("ring", [R32, R33, R52, Ring(5, 3), Ring(3, 4)])
 def test_product_rule_exhaustive(ring):
     big_l = l_n(ring)
     for s_set in all_subsets(ring.n):
