@@ -16,7 +16,7 @@ from .essential import MaximalSubgroup, decompose, ess_basis, restrict, steenrod
 from .invariants import dickson, l_n, mui, mui_set
 from .linalg import monomial_basis
 from .steenrod import apply_word, parse_word, word_degree
-from .verify import ConfigError, check_degree, check_resources, run_all
+from .verify import ConfigError, check_decompose, check_degree, check_resources, run_all
 
 
 def _ring(args, max_degree: int = 0) -> Ring:
@@ -154,6 +154,7 @@ def _cmd_decompose(args) -> int:
     # essential y, so a bound on the product degree would refuse them all
     # wherever L_n is large
     _check_degree(ring, y)
+    check_decompose(ring, y)
     parts = decompose(y)
     if args.json:
         print(

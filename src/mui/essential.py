@@ -11,6 +11,7 @@ restrictions, computed with exact linear algebra one exterior rank at a time.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -18,13 +19,15 @@ from itertools import combinations, groupby, product
 from operator import add
 
 from . import field
-from .algebra import Element, NotDivisibleError, Ring, ZERO, _element, _merge_ext
+from .algebra import Element, Ring, ZERO, _element, _merge_ext
 from .invariants import l_n, mui_set, product_sign
 from .linalg import (
     DegreeSpan,
     _check_int64_prime,
-    _compositions,
+    _exponents,
+    _position_tables,
     _positions,
+    _read_only,
     basis_dimension,
     monomial_basis,
     pruned_null_space,
@@ -156,7 +159,7 @@ def is_essential(y: Element) -> bool:
 
 def _restriction_matrix(ring: Ring, r: int, k: int) -> np.ndarray:
     """Restriction to every maximal subgroup on the run of rank-r monomials
-    a_E x^m with |m| = k, E-major and m in _compositions order: one
+    a_E x^m with |m| = k, E-major and m in _exponents order: one
     codomain x domain block per subgroup, stacked in subgroup order.
 
     Restriction is an algebra map, so the block is the Kronecker product of
@@ -174,8 +177,7 @@ def _restriction_matrix(ring: Ring, r: int, k: int) -> np.ndarray:
     subs = maximal_subgroups(ring)
     exts = list(combinations(range(1, n + 1), r))
     sub_exts = {ext: i for i, ext in enumerate(combinations(range(1, n), r))}
-    dom = np.array(list(_compositions(k, n)), dtype=np.int64)
-    cod = np.array(list(_compositions(k, n - 1)) or np.zeros((0, 0)), dtype=np.int64)
+    dom, cod = _exponents(k, n), _exponents(k, n - 1)
     if (k + 1) ** (n - 1) > np.iinfo(np.int64).max:
         raise ValueError(f"exponent keys of degree {k} in {n - 1} variables overflow int64")
     radix = (k + 1) ** np.arange(n - 2, -1, -1, dtype=np.int64)
@@ -245,13 +247,11 @@ def decompose(y: Element) -> dict[tuple[int, ...], Element]:
     """Coordinates of an essential class over the polynomial subalgebra, in
     the basis of subset invariants of its exterior rank.
 
-    Requires odd p, rank n >= 1 and y nonzero in one exterior rank.  With T
-    the complement of S, y * M_{n,T} = f_S * sign * L_n * M_{n,1..n}, so each
-    f_S is one exact division.  The returned map S -> f_S satisfies sum of
-    f_S * M_{n,S} == y exactly, and that reconstruction is the proof that y
-    is essential, since every M_{n,S} restricts to zero.  is_essential runs
-    only when a division or the reconstruction fails, to name the failure:
-    ValueError for an input that is not essential, RuntimeError otherwise.
+    Requires odd p, rank n >= 1 and y nonzero in one exterior rank.  Each
+    homogeneous part of y goes through decompose_rows as one coordinate
+    row.  The returned map S -> f_S satisfies sum of f_S * M_{n,S} == y
+    exactly; ValueError for an input that is not essential, RuntimeError
+    when an essential one fails to decompose.
     """
     ring = Ring(y.p, y.n)
     if ring.mod2:
@@ -264,28 +264,199 @@ def decompose(y: Element) -> dict[tuple[int, ...], Element]:
     if len(ranks) > 1:
         raise ValueError(f"element mixes exterior ranks {sorted(ranks)}")
     r = ranks.pop()
+    _, masks, pows, coef = _term_arrays(ring, y)
+    degrees = r + 2 * pows.sum(axis=1)
+    result = {subset: ring.zero() for subset in combinations(range(1, ring.n + 1), r)}
+    for degree in sorted(set(degrees.tolist())):
+        part = degrees == degree
+        row = np.zeros((1, _run_width(ring, degree, r)), dtype=np.int64)
+        row[0, _positions(ring, degree, masks[part], pows[part]) - _run_start(ring, degree, r)] = \
+            coef[part]
+        parts, errors = decompose_rows(ring, degree, r, row)
+        if errors[0] is not None:
+            raise errors[0]
+        for subset, f in parts.items():
+            if f.shape[1]:
+                result[subset] = result[subset] + _run_element(ring, 2 * _quotient_degree(
+                    ring, degree, subset), 0, f[0])
+    return result
+
+
+def decompose_rows(ring: Ring, degree: int, rank: int, rows: np.ndarray) -> tuple[dict, list]:
+    """decompose for many classes of one degree and exterior rank at once,
+    on coefficient arrays: the classes are coordinate rows, entries in
+    0..p-1, on the monomials of _run(ring, degree, rank).  Returns
+    ({S: f_S}, errors): f_S holds one coordinate row per class on the
+    exponent vectors of its degree (_exponents order; no columns when
+    deg M_{n,S} > degree), and errors[i] is None, or the ValueError or
+    RuntimeError that names the failure of row i.
+
+    With T the complement of S, y M_{n,T} = f_S sign lambda L_n a_1..a_n,
+    where M_{n,1..n} = lambda a_1..a_n, so each f_S is one division by L_n
+    (_divide_by_l_n); the products are _left_product.  The reconstruction
+    sum of f_S M_{n,S} == y is the proof that y is essential, since every
+    M_{n,S} restricts to zero; is_essential runs only on a row that fails,
+    to name the failure."""
     n, p = ring.n, ring.p
     full = tuple(range(1, n + 1))
     lam_inv = field.inv(mui_set(ring, full).coefficient(full, (0,) * n), p)
-    big_l = l_n(ring)
-    result: dict[tuple[int, ...], Element] = {}
-    recon = ring.zero()
-    try:
-        for subset in combinations(full, r):
-            comp = tuple(s for s in full if s not in subset)
-            q = (y * mui_set(ring, comp)).exact_divide(big_l)
-            scale = product_sign(subset, comp) * lam_inv
-            f = _element(p, n, {((), pows): c * scale for (_, pows), c in q.terms.items()})
-            result[subset] = f
-            recon = recon + f * mui_set(ring, subset)
-        exact = recon == y
-    except NotDivisibleError:
-        exact = False
-    if not exact:
-        if not is_essential(y):
-            raise ValueError("element is not essential")
-        raise RuntimeError("decomposition failed to reconstruct the input")
-    return result
+    rows = np.asarray(rows, dtype=np.int64)
+    exact = np.ones(len(rows), dtype=bool)
+    recon = np.zeros(rows.shape, dtype=np.int64)
+    result = {}
+    for subset in combinations(full, rank):
+        comp = tuple(s for s in full if s not in subset)
+        k = _quotient_degree(ring, degree, subset)
+        # the product map gives M_T y, which is (-1)^(r (n - r)) y M_T
+        q, ok = _divide_by_l_n(ring, k, _left_product(ring, _mui_terms(ring, comp), rows, degree,
+                                                       rank))
+        exact &= ok
+        scale = (-1) ** (rank * (n - rank)) * product_sign(subset, comp) * lam_inv
+        result[subset] = f = q * scale % p
+        if k >= 0:
+            recon += _left_product(ring, _mui_terms(ring, subset), f, 2 * k, 0)
+    exact &= (recon % p == rows).all(axis=1)
+    return result, [None if ok else _failure(_run_element(ring, degree, rank, row))
+                    for ok, row in zip(exact.tolist(), rows)]
+
+
+def _failure(y: Element) -> Exception:
+    """The error for a class that did not decompose, named by is_essential."""
+    if not is_essential(y):
+        return ValueError("element is not essential")
+    return RuntimeError("decomposition failed to reconstruct the input")
+
+
+def _quotient_degree(ring: Ring, degree: int, subset: tuple[int, ...]) -> int:
+    """The polynomial degree of f_S for a class of the given degree and
+    exterior rank |S|: (degree - deg M_{n,S}) / 2, negative when
+    deg M_{n,S} > degree."""
+    return (degree - len(subset)) // 2 - sum(
+        ring.p ** (t - 1) for t in range(1, ring.n + 1) if t not in subset)
+
+
+@lru_cache(maxsize=None)
+def _mui_terms(ring: Ring, subset: tuple[int, ...]) -> tuple:
+    """M_S as the term arrays of _product_map; the empty subset gives L_n."""
+    return _read_only(*_term_arrays(ring, mui_set(ring, subset)))
+
+
+def _run_start(ring: Ring, degree: int, rank: int) -> int:
+    """Position in monomial_basis(ring, degree) of the first monomial of
+    the given exterior rank, at odd p: its first exterior part is a_1..a_r."""
+    return int(_position_tables(ring, degree)[0][(1 << rank) - 1])
+
+
+def _run_width(ring: Ring, degree: int, rank: int) -> int:
+    """The number of monomials of one exterior rank in one degree, at odd p."""
+    k = (degree - rank) // 2
+    return math.comb(ring.n, rank) * math.comb(k + ring.n - 1, ring.n - 1) if k >= 0 else 0
+
+
+@lru_cache(maxsize=None)
+def _run(ring: Ring, degree: int, rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """The monomials of one exterior rank in one degree at odd p, in basis
+    order (the contiguous run of that rank in monomial_basis), as read-only
+    exterior bitmasks and exponent rows, built without the basis: the
+    rank-r parts in lexicographic order, each followed by every exponent
+    vector of the degree in _exponents order."""
+    exps = _exponents((degree - rank) // 2, ring.n)
+    masks = [sum(1 << (i - 1) for i in ext) for ext in combinations(range(1, ring.n + 1), rank)]
+    return _read_only(np.repeat(np.array(masks, dtype=np.int64), len(exps)),
+                      np.tile(exps, (len(masks), 1)))
+
+
+def _run_element(ring: Ring, degree: int, rank: int, row: np.ndarray) -> Element:
+    """The class with the given coordinate row on _run(ring, degree, rank)."""
+    masks, pows = _run(ring, degree, rank)
+    at = np.flatnonzero(row)
+    exts = {m: tuple(i + 1 for i in range(ring.n) if m >> i & 1) for m in set(masks[at].tolist())}
+    return _element(ring.p, ring.n, {(exts[m], tuple(e)): c for m, e, c in zip(
+        masks[at].tolist(), pows[at].tolist(), row[at].tolist())})
+
+
+def _left_product(ring: Ring, g: tuple, rows: np.ndarray, degree: int, rank: int) -> np.ndarray:
+    """g y for the classes y given as coordinate rows on _run(ring, degree,
+    rank) and g as term arrays of one degree and exterior rank, by
+    _product_map and _apply_map: coordinate rows on the run where the
+    products land."""
+    t, t_rank = degree + _term_degree(ring, g), rank + bin(int(g[1][0])).count("1")
+    src, tgt, coef, _ = _product_map(ring, degree, *_run(ring, degree, rank), g)
+    return _apply_map(rows, src, tgt - _run_start(ring, t, t_rank), coef,
+                      _run_width(ring, t, t_rank), ring.p)
+
+
+@lru_cache(maxsize=None)
+def _division_levels(ring: Ring, k: int) -> tuple[list, np.ndarray, np.ndarray]:
+    """The triangular solve of L_n q = N for q of polynomial degree k, as
+    (levels, products, coefficients).
+
+    products[m, j] is the position of m + t_j among the exponent vectors of
+    degree k + deg L_n, for quotient monomial m and term t_j of L_n, whose
+    signed coefficient is coefficients[j]; column 0 is the lead term t_0,
+    the largest in lexicographic order.  That is a monomial order, so the
+    pivot m + t_0 of m has N = sum_j c_j q_(m + t_0 - t_j), and every
+    m + t_0 - t_j with j > 0 lies above m: q_m depends only on the q above
+    it.  A level holds the m whose longest chain of such dependencies has
+    one length; each level is (indices of m, their pivots, positions of
+    each m + t_0 - t_j among the exponent vectors of degree k, or the extra
+    index len(q) where that has a negative entry).  The coefficients of L_n
+    are +-1 (a permutation expansion with distinct monomials), kept signed:
+    c_0 is its own inverse, and a level's sums stay below n! p."""
+    n, p = ring.n, ring.p
+    _, _, terms, coef = _mui_terms(ring, ())
+    order = np.lexsort(terms.T[::-1])[::-1]
+    terms, coef = terms[order], np.where(coef > p // 2, coef - p, coef)[order]
+    quot = _exponents(k, n)
+    products = _exponent_positions(ring, k + int(terms[0].sum()), quot[:, None] + terms)
+    shifted = quot[:, None, :] + (terms[0] - terms[1:])
+    valid = (shifted >= 0).all(axis=2)
+    deps = np.full(valid.shape, len(quot), dtype=np.int64)
+    deps[valid] = _exponent_positions(ring, k, shifted[valid])
+    level = np.zeros(len(quot) + 1, dtype=np.int64)
+    level[-1] = -1
+    while True:
+        longer = level[deps].max(axis=1, initial=-1) + 1
+        if np.array_equal(longer, level[:-1]):
+            break
+        level[:-1] = longer
+    ranked = np.argsort(longer, kind="stable")
+    bounds = np.searchsorted(longer[ranked], np.arange(1, int(longer.max(initial=0)) + 1))
+    levels = [(idx, products[idx, 0], deps[idx]) for idx in np.split(ranked, bounds)]
+    return levels, products, coef
+
+
+def _exponent_positions(ring: Ring, k: int, pows: np.ndarray) -> np.ndarray:
+    """Positions of exponent vectors of sum k, given as the last axis of
+    pows, in _exponents(k, n)."""
+    flat = pows.reshape(-1, ring.n)
+    at = _positions(ring, 2 * k, np.zeros(len(flat), dtype=np.int64), flat)
+    return (at - _run_start(ring, 2 * k, 0)).reshape(pows.shape[:-1])
+
+
+def _divide_by_l_n(ring: Ring, k: int, num: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(q, exact) with q the coordinate rows of polynomial degree k that
+    match the rows of num (coordinates on the exponent vectors of degree
+    k + deg L_n, entries in 0..p-1) at every pivot of _division_levels,
+    solved one level at a time; exact says for each row whether L_n q
+    equals num on every monomial, the test for exact division."""
+    p = ring.p
+    if k < 0:
+        return np.zeros((len(num), 0), dtype=np.int64), ~num.any(axis=1)
+    levels, products, coef = _division_levels(ring, k)
+    num = num.astype(np.int64)
+    # q_m = (N_pivot - sum_(j > 0) c_j q_(m + t_0 - t_j)) / c_0; the extra
+    # last column of q stays 0
+    q = np.zeros((len(num), len(products) + 1), dtype=np.int64)
+    weights = -coef[1:] * coef[0]
+    for idx, pivots, deps in levels:
+        q[:, idx] = (coef[0] * num[:, pivots] + q[:, deps] @ weights) % p
+    q = q[:, :-1]
+    # each term of L_n moves the quotient monomials injectively
+    rest = num.copy()
+    for j, c in enumerate(coef.tolist()):
+        rest[:, products[:, j]] -= c * q
+    return q, ~(rest % p).any(axis=1)
 
 
 # Total dimension past which steenrod_closure gives up.
@@ -359,7 +530,7 @@ def _operation_maps(ring: Ring, d: int, support: np.ndarray, max_degree: int) ->
     found = []
     if d < max_degree:
         gens = [ring.x(i) if ring.mod2 else ring.a(i) for i in range(1, n + 1)]
-        found.append((d + 1, _product_map(ring, d, support, _term_arrays(ring, *gens))))
+        found.append((d + 1, _product_map(ring, d, masks, pows, _term_arrays(ring, *gens))))
         if not ring.mod2:
             i, src = np.nonzero(masks >> np.arange(n)[:, None] & 1)
             rest, at = np.unique(masks[src] ^ 1 << i, return_inverse=True)
@@ -411,29 +582,35 @@ def _term_arrays(ring: Ring, *elements: Element) -> tuple:
     """Elements g_0, g_1, ... as the term arrays (which, masks, pows, coef)
     that _product_map reads: term i is coef[i] a_E x^pows[i] in g_which[i],
     E given by the bitmask masks[i]."""
-    table = np.array([(k, sum(1 << (i - 1) for i in ext), c, *exps)
-                      for k, g in enumerate(elements) for (ext, exps), c in g.terms.items()],
+    terms = [(k, ext, exps, c)
+             for k, g in enumerate(elements) for (ext, exps), c in g.terms.items()]
+    bits = {ext: sum(1 << (i - 1) for i in ext) for ext in {term[1] for term in terms}}
+    table = np.array([(k, bits[ext], c, *exps) for k, ext, exps, c in terms],
                      dtype=np.int64).reshape(-1, 3 + ring.n)
     return table[:, 0], table[:, 1], table[:, 3:], table[:, 2]
 
 
-def _product_map(ring: Ring, d: int, support: np.ndarray, g: tuple) -> tuple:
-    """The maps y -> g_k y on the degree-d monomials at the basis positions
-    in support, as the (source, target, coefficient, map) arrays of
-    _operation_maps, map k for g_k.  The g_k share one degree and are given
-    as term arrays (see _term_arrays).  A term c a_T x^q times a_E x^m is
+def _term_degree(ring: Ring, g: tuple) -> int:
+    """The common degree of the terms of g, given as term arrays."""
+    _, masks, pows, _ = g
+    return bin(int(masks[0])).count("1") + (1 if ring.mod2 else 2) * int(pows[0].sum())
+
+
+def _product_map(ring: Ring, d: int, masks: np.ndarray, pows: np.ndarray, g: tuple) -> tuple:
+    """The maps y -> g_k y on the degree-d monomials a_E x^m given by
+    exterior bitmasks and exponent rows, as the (source, target,
+    coefficient, map) arrays of _operation_maps, source i for the i-th
+    monomial, map k for g_k.  The g_k share one degree and are given as
+    term arrays (see _term_arrays).  A term c a_T x^q times a_E x^m is
     sign(T, E) c a_(T u E) x^(q + m), the sign read from one _signs table
     over the distinct T and E; targets are found by _positions, so no basis
     of the degree of g or of the product is built."""
     which, g_masks, g_pows, g_coef = g
-    masks, pows = (a[support] for a in monomial_basis(ring, d).arrays)
     g_exts, g_ext = np.unique(g_masks, return_inverse=True)
     exts, ext = np.unique(masks, return_inverse=True)
     live = _signs(ring, g_exts, exts)[g_ext][:, ext]
     term, src = np.nonzero(live)
-    t = d  # plus the degree of g, read from any term
-    if len(which):
-        t += bin(int(g_masks[0])).count("1") + (1 if ring.mod2 else 2) * int(g_pows[0].sum())
+    t = d + (_term_degree(ring, g) if len(which) else 0)
     tgt = _positions(ring, t, g_masks[term] | masks[src], g_pows[term] + pows[src])
     return src, tgt, live[term, src] * g_coef[term] % ring.p, which[term]
 
@@ -441,13 +618,25 @@ def _product_map(ring: Ring, d: int, support: np.ndarray, g: tuple) -> tuple:
 def _image_rows(sub: np.ndarray, src, tgt, coef, which, width: int, p: int) -> list:
     """The images of the rows of sub (one column per source) under the maps
     of _operation_maps or _product_map into a degree with basis of the
-    given width, one block per map, reduced mod p into the smallest dtype
-    that holds p - 1, zero rows dropped.  The (source, target) pairs are
-    added in rounds that hit each target at most once, reduced before int64
-    could overflow, on chunks of rows of bounded size."""
+    given width, one block per map, zero rows dropped, by _apply_map."""
     if not len(which):
         return []
-    cols, tgt = np.unique(which * width + tgt, return_inverse=True)
+    count = int(which.max()) + 1
+    out = _apply_map(sub, src, which * width + tgt, coef, count * width, p)
+    blocks = out.reshape(len(sub), count, width).transpose(1, 0, 2)
+    return [block[block.any(axis=1)] for block in blocks]
+
+
+def _apply_map(sub: np.ndarray, src, tgt, coef, width: int, p: int) -> np.ndarray:
+    """The rows of sub (one column per source) times the map with an entry
+    coef[i] from source src[i] to target tgt[i] < width, reduced mod p into
+    the smallest dtype that holds p - 1.  The (source, target) pairs are
+    added in rounds that hit each target at most once, reduced before int64
+    could overflow, on chunks of rows of bounded size."""
+    out = np.zeros((len(sub), width), dtype=np.min_scalar_type(p - 1))
+    if not len(tgt):
+        return out
+    cols, tgt = np.unique(tgt, return_inverse=True)
     # round k takes the k-th pair into each target: sort by target, number
     # each pair within its run, then sort by that number
     order = np.argsort(tgt, kind="stable")
@@ -457,8 +646,6 @@ def _image_rows(sub: np.ndarray, src, tgt, coef, which, width: int, p: int) -> l
     src, tgt, coef = src[order], tgt[order], coef[order]
     bounds = np.searchsorted(np.sort(rounds), np.arange(int(rounds.max()) + 2))
     budget = (2**63 - 1 - p) // (p - 1) ** 2
-    count = int(which.max()) + 1
-    out = np.zeros((len(sub), count * width), dtype=np.min_scalar_type(p - 1))
     step = max(1, IMAGE_CHUNK_CELLS // len(cols))
     for i in range(0, len(sub), step):
         part = sub[i:i + step]
@@ -470,8 +657,7 @@ def _image_rows(sub: np.ndarray, src, tgt, coef, which, width: int, p: int) -> l
                 acc %= p
         acc %= p
         out[i:i + step, cols] = acc
-    blocks = out.reshape(len(sub), count, width).transpose(1, 0, 2)
-    return [block[block.any(axis=1)] for block in blocks]
+    return out
 
 
 def proof_word(ring: Ring, subset) -> tuple:

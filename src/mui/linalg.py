@@ -293,14 +293,21 @@ class DegreeBasis:
         return [self.element(row) for row in mat]
 
 
-def _compositions(total: int, parts: int):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+@lru_cache(maxsize=None)
+def _exponents(total: int, parts: int) -> np.ndarray:
+    """Every exponent vector of the given length and sum, in descending
+    lexicographic order, as a read-only (count, parts) array: the rows with
+    first entry e, from total down to 0, are e beside the vectors of the
+    rest.  Empty for a negative total."""
+    if parts <= 1 or total <= 0:
+        count = int(total == 0 or (parts == 1 and total > 0))
+        out = np.full((count, parts), max(total, 0), dtype=np.int64)
+    else:
+        rests = [_exponents(total - first, parts - 1) for first in range(total, -1, -1)]
+        out = np.empty((sum(map(len, rests)), parts), dtype=np.int64)
+        out[:, 0] = np.repeat(np.arange(total, -1, -1), [len(r) for r in rests])
+        out[:, 1:] = np.concatenate(rests)
+    return _read_only(out)[0]
 
 
 @lru_cache(maxsize=None)
@@ -309,15 +316,15 @@ def monomial_basis(ring: Ring, degree: int) -> DegreeBasis:
     n = ring.n
     mons: list[Monomial] = []
     if ring.mod2:
-        mons = [Monomial((), m) for m in _compositions(degree, n)]
+        mons = [Monomial((), m) for m in map(tuple, _exponents(degree, n).tolist())]
     else:
         for r in range(min(n, degree) + 1):
             rest = degree - r
             if rest % 2:
                 continue
+            exps = list(map(tuple, _exponents(rest // 2, n).tolist()))
             for ext in combinations(range(1, n + 1), r):
-                for m in _compositions(rest // 2, n):
-                    mons.append(Monomial(ext, m))
+                mons += [Monomial(ext, m) for m in exps]
     mons.sort(key=term_key)
     return DegreeBasis(ring, degree, tuple(mons))
 

@@ -9,20 +9,27 @@ the finite range recorded in its case ids; nothing is proved beyond that.
 from __future__ import annotations
 
 import json
+import math
 import random
 import time
+from collections import defaultdict
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
-from .algebra import Element, Ring, _element
+from .algebra import Element, Ring, monomial_degree
 from .essential import (
     _image_rows,
+    _left_product,
+    _mui_terms,
     _product_map,
-    _term_arrays,
-    decompose,
+    _quotient_degree,
+    _run_element,
+    _run_start,
+    _run_width,
+    decompose_rows,
     ess_basis,
     ess_basis_by_rank,
     maximal_subgroups,
@@ -37,11 +44,12 @@ from .invariants import (
     mui,
     mui_set,
     product_sign,
+    subset_degree,
     _power_entry,
 )
 from .linalg import (
     DegreeSpan,
-    _read_only,
+    _exponents,
     basis_dimension,
     monomial_basis,
     pruned_null_space,
@@ -90,6 +98,32 @@ def check_resources(ring: Ring, max_degree: int) -> None:
             f"degree {max_degree} at p={ring.p}, n={ring.n} has a basis of "
             f"dimension {dim} (cap {MAX_BASIS_DIMENSION})"
         )
+
+
+# Cells of the dependency tables of the triangular solves of one
+# decompose: 10^7 int64 cells are 80 MB.
+MAX_DECOMPOSE_CELLS = 10**7
+
+
+def check_decompose(ring: Ring, y: Element) -> None:
+    """Refuse an element of odd p whose decomposition would be too large,
+    before anything is built.  The division of each homogeneous part of
+    exterior rank r by L_n, for each S with |S| = r, solves for one
+    unknown per exponent vector of the degree of f_S, each reading the
+    n! - 1 other terms of L_n: C(k_S + n - 1, n - 1) * n! cells.  At p = 2
+    decompose refuses every element by itself."""
+    if ring.mod2:
+        return
+    n = ring.n
+    cells = 0
+    for rank, degree in {(len(ext), monomial_degree(ext, pows, ring.p)) for ext, pows in y.terms}:
+        for subset in combinations(range(1, n + 1), rank):
+            k = _quotient_degree(ring, degree, subset)
+            if k >= 0:
+                cells += math.comb(k + n - 1, n - 1) * math.factorial(n)
+    if cells > MAX_DECOMPOSE_CELLS:
+        raise ConfigError(f"decomposing this element at p={ring.p}, n={n} takes {cells} "
+                          f"cells of triangular solve (cap {MAX_DECOMPOSE_CELLS})")
 
 
 @dataclass
@@ -210,7 +244,8 @@ def _product_span(ring: Ring, d: int, factors) -> DegreeSpan:
         k, col = np.nonzero(us)
         masks, pows = monomial_basis(ring, d - d2).arrays
         support = np.flatnonzero(vs.any(axis=0))
-        maps = _product_map(ring, d2, support, (k, masks[col], pows[col], us[k, col]))
+        v_masks, v_pows = (a[support] for a in monomial_basis(ring, d2).arrays)
+        maps = _product_map(ring, d2, v_masks, v_pows, (k, masks[col], pows[col], us[k, col]))
         blocks += _image_rows(vs[:, support], *maps, width, ring.p)
     return DegreeSpan(ring.p, d, rref_stack(blocks, ring.p, width))
 
@@ -291,8 +326,10 @@ def _check_ess_squared(ring: Ring, max_degree: int) -> list[Case]:
 
 
 def _check_mnst(ring: Ring, max_degree: int) -> list[Case]:
-    """M_S * M_T is product_sign(S, T) * L_n * M_{S u T} for disjoint S, T, else 0."""
+    """M_S * M_T is product_sign(S, T) * L_n * M_{S u T} for disjoint S, T,
+    else 0.  L_n * M_U is built once per union U."""
     cases = []
+    multiples = {u: l_n(ring) * mui_set(ring, u) for u in _all_subsets(ring)}
     for s_set in _all_subsets(ring):
         for t_set in _all_subsets(ring):
             prod = mui_set(ring, s_set) * mui_set(ring, t_set)
@@ -301,7 +338,7 @@ def _check_mnst(ring: Ring, max_degree: int) -> list[Case]:
                 cases.append(_element_case(cid, ring.zero(), prod))
             else:
                 sign = product_sign(s_set, t_set)
-                target = l_n(ring) * mui_set(ring, tuple(sorted(s_set + t_set))) * sign
+                target = multiples[tuple(sorted(s_set + t_set))] * sign
                 ok = prod == target
                 actual = "matched" if ok else f"{prod}; sign {sign:+d} expected"
                 cases.append(Case(cid, "+-L_n*M_(S u T)", actual, ok))
@@ -323,7 +360,8 @@ def _joint_annihilator(ring: Ring, d: int, subsets: tuple[tuple[int, ...], ...])
     rows, cols, vals = [], [], []
     height = 0
     for s in subsets:
-        src, tgt, coef, _ = _product_map(ring, d, np.arange(dim), _mui_terms(ring, s))
+        src, tgt, coef, _ = _product_map(ring, d, *monomial_basis(ring, d).arrays,
+                                         _mui_terms(ring, s))
         _, found = np.unique(tgt, return_inverse=True)
         rows.append(height + found)
         cols.append(src)
@@ -333,12 +371,6 @@ def _joint_annihilator(ring: Ring, d: int, subsets: tuple[tuple[int, ...], ...])
     if rows:
         mat[np.concatenate(rows), np.concatenate(cols)] = np.concatenate(vals)
     return DegreeSpan(p, d, pruned_null_space(mat, p))
-
-
-@lru_cache(maxsize=None)
-def _mui_terms(ring: Ring, subset: tuple[int, ...]) -> tuple:
-    """M_S as the term arrays of _product_map."""
-    return _read_only(*_term_arrays(ring, mui_set(ring, subset)))
 
 
 def _high_rank_span(ring: Ring, d: int, min_rank: int) -> DegreeSpan:
@@ -405,82 +437,85 @@ def _check_mns_nonzero(ring: Ring, max_degree: int) -> list[Case]:
     return cases
 
 
-def _random_poly(ring: Ring, rng: random.Random, poly_degree: int) -> Element:
-    """Random homogeneous polynomial of the given polynomial degree."""
-    from .linalg import _compositions
+def _random_coefficients(ring: Ring, rng: random.Random, poly_degree: int) -> np.ndarray:
+    """The coordinate row of a random homogeneous polynomial of the given
+    polynomial degree, one draw per exponent vector in _exponents order
+    (none for a negative degree)."""
+    return np.array([rng.randrange(ring.p) for _ in range(len(_exponents(poly_degree, ring.n)))],
+                    dtype=np.int64)
 
-    terms = {((), pows): rng.randrange(ring.p) for pows in _compositions(poly_degree, ring.n)}
-    return _element(ring.p, ring.n, terms)
 
-
-def _decompose_or_error(y: Element):
-    """decompose(y), or the text of the ValueError or RuntimeError it raised."""
-    try:
-        return decompose(y)
-    except (ValueError, RuntimeError) as err:
-        return f"{type(err).__name__}: {err}"
+def _error_text(err: Exception) -> str:
+    return f"{type(err).__name__}: {err}"
 
 
 def _check_free(ring: Ring, max_degree: int) -> list[Case]:
     """The essential ideal is a free module on the subset invariants: random
     coordinate vectors round-trip, and every degreewise essential basis element
-    decomposes (decompose checks its own reconstruction)."""
+    decomposes (decompose_rows checks its own reconstruction).
+
+    The trials are drawn first, in order; then each group of trials with
+    the same exterior rank and degree is built as sum f_S M_{n,S} by the
+    product map and decomposed in one decompose_rows call, and each
+    (degree, rank) span of the essential basis in another."""
     rng = random.Random(20080925)
-    cases = []
     n = ring.n
     trials = 100
-    ok = 0
-    first_bad = ""
+    groups = defaultdict(list)
     for trial in range(trials):
         r = rng.randrange(n + 1)
         subsets = list(combinations(range(1, n + 1), r))
-        degrees = {s: mui_set(ring, s).total_degree() for s in subsets}
-        target = max(degrees.values()) + 2 * rng.randrange(4)
+        target = max(subset_degree(ring, s) for s in subsets) + 2 * rng.randrange(4)
+        # every deg M_{n,S} with |S| = r has the parity of r, so each gap is
+        # even; f_S has no coefficients where it is negative
+        groups[r, target].append(
+            (trial, {s: _random_coefficients(ring, rng, _quotient_degree(ring, target, s))
+                     for s in subsets}))
+    bad = {}
+    for (r, target), group in groups.items():
+        ys = np.zeros((len(group), _run_width(ring, target, r)), dtype=np.int64)
         coeffs = {}
-        y = ring.zero()
-        for s in subsets:
-            gap = target - degrees[s]
-            if gap < 0 or gap % 2:
-                coeffs[s] = ring.zero()
+        for s in group[0][1]:
+            coeffs[s] = np.array([c[s] for _, c in group])
+            if coeffs[s].shape[1]:
+                ys += _left_product(ring, _mui_terms(ring, s), coeffs[s],
+                                    2 * _quotient_degree(ring, target, s), 0)
+        ys %= ring.p
+        # the zero combination carries no information; skip
+        live = np.flatnonzero(ys.any(axis=1))
+        got, errors = decompose_rows(ring, target, r, ys[live])
+        for j, i in enumerate(live.tolist()):
+            error = errors[j]
+            if error is None and all(np.array_equal(got[s][j], f[i]) for s, f in coeffs.items()):
                 continue
-            f = _random_poly(ring, rng, gap // 2)
-            coeffs[s] = f
-            y = y + f * mui_set(ring, s)
-        if y.is_zero():
-            ok += 1  # the zero combination carries no information; skip
-            continue
-        got = _decompose_or_error(y)
-        if got == coeffs:
-            ok += 1
-        elif not first_bad:
-            first_bad = f"trial {trial}: y={y}" + (f" ({got})" if isinstance(got, str) else "")
-    cases.append(
+            y = _run_element(ring, target, r, ys[i])
+            bad[group[i][0]] = f"y={y}" + ("" if error is None else f" ({_error_text(error)})")
+    first = min(bad, default=None)
+    cases = [
         Case(
             f"round-trip[trials=1..{trials}]",
             f"{trials} exact",
-            f"{ok} exact" + (f"; {first_bad}" if first_bad else ""),
-            ok == trials,
+            f"{trials - len(bad)} exact" + (f"; trial {first}: {bad[first]}" if bad else ""),
+            not bad,
         )
-    )
+    ]
     bound = min(max_degree, 20)
     for d in range(bound + 1):
         for r, span in sorted(ess_basis_by_rank(ring, d).items()):
             if span.dim == 0:
                 continue
-            basis = monomial_basis(ring, d)
-            bad = ""
-            for row in span.rows:
-                y = basis.element(row)
-                got = _decompose_or_error(y)
-                if isinstance(got, str):
-                    bad = f"{y} ({got})"
-                    break
+            start = _run_start(ring, d, r)
+            _, errors = decompose_rows(ring, d, r,
+                                       span.rows[:, start:start + _run_width(ring, d, r)])
+            fail = next((i for i, err in enumerate(errors) if err is not None), None)
             cases.append(
                 Case(
                     f"spanning[d={d},r={r}]",
                     f"{span.dim} elements decompose",
-                    "all decompose" if not bad else f"failed on {bad}",
-                    not bad,
+                    "all decompose" if fail is None else
+                    f"failed on {monomial_basis(ring, d).element(span.rows[fail])} "
+                    f"({_error_text(errors[fail])})",
+                    fail is None,
                 )
             )
     return cases

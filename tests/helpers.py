@@ -17,8 +17,14 @@ from hypothesis import strategies as st
 from mui import Element, NotDivisibleError, Ring, ZERO, det, l_n, mui_set
 from mui import essential, field
 from mui.algebra import _element, _merge_ext
-from mui.essential import MaximalSubgroup, ess_basis, maximal_subgroups, restrict
-from mui.invariants import _check_row, _normalize_subset, _power_entry, _require_odd
+from mui.essential import MaximalSubgroup, ess_basis, is_essential, maximal_subgroups, restrict
+from mui.invariants import (
+    _check_row,
+    _normalize_subset,
+    _power_entry,
+    _require_odd,
+    product_sign,
+)
 from mui.linalg import (
     DegreeBasis,
     DegreeSpan,
@@ -59,12 +65,22 @@ def rand_homogeneous(ring: Ring, rng: random.Random, degree: int,
     return out
 
 
+def reference_compositions(total: int, parts: int):
+    """Reference enumerator of exponent vectors in descending lexicographic
+    order: the recursive generator that linalg._exponents replaced."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total, -1, -1):
+        for rest in reference_compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
 def rand_poly(ring: Ring, rng: random.Random, poly_degree: int) -> Element:
     """Random homogeneous purely polynomial element; may be zero."""
-    from mui.linalg import _compositions
-
     out = ring.zero()
-    for pows in _compositions(poly_degree, ring.n):
+    for pows in reference_compositions(poly_degree, ring.n):
         c = rng.randrange(ring.p)
         if c:
             out = out + ring.monomial((), pows, c)
@@ -225,6 +241,55 @@ def reference_poly_divide(num: dict, den: dict, p: int) -> dict:
             else:
                 rem.pop(tgt, None)
     return quot
+
+
+def reference_decompose(y: Element) -> dict[tuple[int, ...], Element]:
+    """Reference decompose, on Elements: each y * M_{n,T} an Element
+    product, each f_S one heap division by L_n (Element.exact_divide).
+    Coordinates of an essential class over the polynomial subalgebra, in
+    the basis of subset invariants of its exterior rank.
+
+    Requires odd p, rank n >= 1 and y nonzero in one exterior rank.  With T
+    the complement of S, y * M_{n,T} = f_S * sign * L_n * M_{n,1..n}, so each
+    f_S is one exact division.  The returned map S -> f_S satisfies sum of
+    f_S * M_{n,S} == y exactly, and that reconstruction is the proof that y
+    is essential, since every M_{n,S} restricts to zero.  is_essential runs
+    only when a division or the reconstruction fails, to name the failure:
+    ValueError for an input that is not essential, RuntimeError otherwise.
+    """
+    ring = Ring(y.p, y.n)
+    if ring.mod2:
+        raise ValueError("subset-invariant decomposition needs odd p")
+    if ring.n < 1:
+        raise ValueError("rank must be at least 1")
+    if y.is_zero():
+        raise ValueError("cannot infer the exterior rank of zero")
+    ranks = y.exterior_ranks()
+    if len(ranks) > 1:
+        raise ValueError(f"element mixes exterior ranks {sorted(ranks)}")
+    r = ranks.pop()
+    n, p = ring.n, ring.p
+    full = tuple(range(1, n + 1))
+    lam_inv = field.inv(mui_set(ring, full).coefficient(full, (0,) * n), p)
+    big_l = l_n(ring)
+    result: dict[tuple[int, ...], Element] = {}
+    recon = ring.zero()
+    try:
+        for subset in combinations(full, r):
+            comp = tuple(s for s in full if s not in subset)
+            q = (y * mui_set(ring, comp)).exact_divide(big_l)
+            scale = product_sign(subset, comp) * lam_inv
+            f = _element(p, n, {((), pows): c * scale for (_, pows), c in q.terms.items()})
+            result[subset] = f
+            recon = recon + f * mui_set(ring, subset)
+        exact = recon == y
+    except NotDivisibleError:
+        exact = False
+    if not exact:
+        if not is_essential(y):
+            raise ValueError("element is not essential")
+        raise RuntimeError("decomposition failed to reconstruct the input")
+    return result
 
 
 def reference_restrict(y: Element, H: MaximalSubgroup, pivot: int | None = None) -> Element:

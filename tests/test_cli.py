@@ -4,7 +4,7 @@ import random
 from mui import Ring
 from mui import cli, essential
 from mui.cli import main
-from helpers import rand_element
+from helpers import rand_element, time_limit
 
 R32 = Ring(3, 2)
 
@@ -121,6 +121,27 @@ def test_degree_free_verbs_are_bounded_by_the_degree_they_build(capsys):
         0, "x1^40\n", "")
     assert run_cli(capsys, "decompose", "a1*a2*a3*a4", *args) == (
         0, "S={1,2,3,4}: 1\n", "")
+
+
+def test_decompose_is_priced_before_it_builds(capsys, monkeypatch):
+    """decompose refuses an element whose triangular solves would pass the
+    cell cap of mui.verify, before building anything: the top class at
+    (3,5) near degree 200 solves for C(101, 4) unknowns, each reading the
+    other 119 terms of L_5."""
+    args = ("--p", "3", "--n", "5")
+    # the top class itself is cheap: one unknown
+    assert run_cli(capsys, "decompose", "a1*a2*a3*a4*a5", *args) == (0, "S={1,2,3,4,5}: 1\n", "")
+
+    def refuse(*args):
+        raise AssertionError("decompose ran on a refused element")
+
+    monkeypatch.setattr(cli, "decompose", refuse)
+    with time_limit(5):
+        code, out, err = run_cli(capsys, "decompose", "a1*a2*a3*a4*a5*x1^97", *args)
+    cells = 4_082_925 * 120
+    assert (code, out) == (2, "")
+    assert err == (f"error: decomposing this element at p=3, n=5 takes {cells} cells of "
+                   "triangular solve (cap 10000000)\n")
 
 
 def test_closure_command(capsys):

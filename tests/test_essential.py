@@ -30,7 +30,8 @@ from mui.essential import (
     proof_word,
     projective_forms,
 )
-from mui.linalg import DegreeBasis, _compositions
+from mui.algebra import NotDivisibleError, _element
+from mui.linalg import DegreeBasis, _exponents
 from mui.steenrod import apply_word
 from helpers import (
     all_subsets,
@@ -39,9 +40,13 @@ from helpers import (
     rand_element,
     rand_homogeneous,
     rand_poly,
+    reference_compositions,
+    reference_decompose,
     reference_ess_basis,
     reference_ess_by_rank,
     reference_is_essential,
+    reference_mul,
+    reference_poly_divide,
     reference_restrict,
 )
 
@@ -206,7 +211,8 @@ def test_restriction_block_matches_restrict(p, n, top):
             mons = tuple(run)
             k = d if ring.mod2 else (d - r) // 2
             # the column order of the block, which _ess_data relies on
-            assert mons == tuple(product(combinations(range(1, n + 1), r), _compositions(k, n)))
+            exps = reference_compositions(k, n)
+            assert mons == tuple(product(combinations(range(1, n + 1), r), exps))
             blocks = np.split(essential._restriction_matrix(ring, r, k), len(subs))
             for H, block in zip(subs, blocks):
                 cod = monomial_basis(H.subring, d).monomials
@@ -235,7 +241,8 @@ def test_product_map_matches_element_products(p, n):
         basis, target = monomial_basis(ring, d), monomial_basis(ring, d + e)
         rows = np.array([basis.coords(y) for y in ys]).reshape(len(ys), len(basis))
         support = np.flatnonzero(rows.any(axis=0)) if trial % 2 else np.arange(len(basis))
-        maps = _product_map(ring, d, support, _term_arrays(ring, *gs))
+        masks, pows = (a[support] for a in basis.arrays)
+        maps = _product_map(ring, d, masks, pows, _term_arrays(ring, *gs))
         blocks = _image_rows(rows[:, support], *maps, len(target), p)
         assert len(blocks) <= len(gs)
         empty = np.zeros((0, len(target)), dtype=np.int64)
@@ -245,8 +252,8 @@ def test_product_map_matches_element_products(p, n):
             assert np.array_equal(got, np.array(expected).reshape(-1, len(target))), (gs, ys, k)
         # an empty support has no images
         none = np.zeros(0, dtype=np.int64)
-        assert _image_rows(rows[:, none], *_product_map(ring, d, none, _term_arrays(ring, *gs)),
-                           len(target), p) == []
+        maps = _product_map(ring, d, *(a[none] for a in basis.arrays), _term_arrays(ring, *gs))
+        assert _image_rows(rows[:, none], *maps, len(target), p) == []
 
 
 def test_ess_basis_makes_no_restriction(monkeypatch):
@@ -404,6 +411,132 @@ def test_decompose_checks_its_own_reconstruction(monkeypatch):
     for y in (mui(R32, 1), mui_set(R33, (2, 3)), R32.x(1) * mui(R32, 1) + R32.x(2) * mui(R32, 2)):
         with pytest.raises(RuntimeError, match="reconstruct"):
             decompose(y)
+
+
+def seeded_combination(ring, rng, r, target):
+    """sum of seeded f_S M_S over the rank-r subsets, homogeneous of the
+    given degree; f_S is 0 where deg M_S > target.  Returns (y, {S: f_S})."""
+    coeffs = {}
+    y = ring.zero()
+    for s in combinations(range(1, ring.n + 1), r):
+        gap = target - mui_set(ring, s).total_degree()
+        coeffs[s] = rand_poly(ring, rng, gap // 2) if gap >= 0 else ring.zero()
+        y = y + coeffs[s] * mui_set(ring, s)
+    return y, coeffs
+
+
+# (ring, [(rank, degree)]): every rank, r = 0 and r = n among them, with
+# degrees from the smallest deg M_S of the rank (the other f_S are 0) up;
+# at (3,4) kept where the heap reference stays fast
+DECOMPOSE_CASES = [
+    (Ring(3, 2), [(0, 8), (0, 12), (1, 3), (1, 5), (1, 9), (2, 2), (2, 10)]),
+    (Ring(3, 3), [(0, 26), (0, 28), (1, 7), (1, 21), (1, 27), (2, 4), (2, 18), (2, 22), (3, 3),
+                  (3, 9)]),
+    (Ring(5, 2), [(0, 12), (1, 3), (1, 11), (1, 15), (2, 2), (2, 8)]),
+    (Ring(5, 3), [(0, 62), (1, 13), (1, 53), (1, 61), (2, 4), (2, 14), (2, 50), (3, 3),
+                  (3, 7)]),
+    (Ring(7, 2), [(0, 16), (1, 3), (1, 15), (1, 19), (2, 2), (2, 6)]),
+    (Ring(3, 4), [(0, 80), (1, 27), (1, 33), (2, 10), (2, 16), (2, 28), (3, 5), (3, 11), (3, 23),
+                  (4, 4), (4, 10)]),
+]
+
+
+@pytest.mark.parametrize("ring,cases", DECOMPOSE_CASES,
+                         ids=[f"{ring.p}-{ring.n}" for ring, _ in DECOMPOSE_CASES])
+def test_decompose_matches_heap_reference(ring, cases):
+    # the coefficient-array decompose against the Element and heap-division
+    # one, on free combinations and on perturbed ones, which must raise the
+    # same error when they are not essential
+    rng = random.Random(ring.p * 100 + ring.n)
+    seen = {"zero f_S": 0, "perturbed": 0}
+    for r, target in cases:
+        for _ in range(2):
+            y, coeffs = seeded_combination(ring, rng, r, target)
+            if not y:
+                continue
+            seen["zero f_S"] += any(not f for f in coeffs.values())
+            got = decompose(y)
+            assert got == reference_decompose(y) == coeffs, (ring, r, target)
+            mons = [m for m in monomial_basis(ring, target).monomials if len(m.ext) == r]
+            mon = mons[rng.randrange(len(mons))]
+            bent = y + ring.monomial(mon.ext, mon.pows, rng.randrange(1, ring.p))
+            if bent and not reference_is_essential(bent):
+                seen["perturbed"] += 1
+                for fn in (decompose, reference_decompose):
+                    with pytest.raises(ValueError, match="not essential"):
+                        fn(bent)
+    assert min(seen.values()) >= 2, seen
+
+
+def test_decompose_rows_batched_equals_row_by_row():
+    # one call on many rows, essential and not, equals one call per row
+    rng = random.Random(83)
+    for ring, cases in DECOMPOSE_CASES[:4]:
+        for r, target in cases:
+            rows = []
+            for _ in range(4):
+                y, _ = seeded_combination(ring, rng, r, target)
+                row = np.zeros(essential._run_width(ring, target, r), dtype=np.int64)
+                start = essential._run_start(ring, target, r)
+                basis = monomial_basis(ring, target)
+                row[:] = basis.coords(y)[start:start + len(row)]
+                rows.append(row)
+                bent = row.copy()
+                bent[rng.randrange(len(bent))] += 1
+                rows.append(bent % ring.p)
+            rows = np.array(rows)
+            parts, errors = essential.decompose_rows(ring, target, r, rows)
+            for i, row in enumerate(rows):
+                one, error = essential.decompose_rows(ring, target, r, row[None])
+                assert type(error[0]) is type(errors[i]), (ring, r, target, i)
+                assert str(error[0]) == str(errors[i])
+                if error[0] is None:
+                    assert all(np.array_equal(one[s][0], parts[s][i]) for s in parts)
+
+
+@pytest.mark.parametrize("p,n,top", [(3, 2, 8), (3, 3, 6), (5, 2, 6), (5, 3, 3), (7, 2, 4),
+                                     (3, 4, 2), (3, 1, 6)])
+def test_division_by_l_n_matches_heap_reference(p, n, top):
+    # the level-scheduled triangular solve against reference_poly_divide:
+    # exact numerators L_n q give q back, and a numerator with one monomial
+    # changed is refused by both
+    ring = Ring(p, n)
+    big_l = {pows: c for (_, pows), c in l_n(ring).terms.items()}
+    deg_l = sum(next(iter(big_l)))
+    rng = random.Random(p * 10 + n)
+    exps = {k: [tuple(e) for e in _exponents(k, n).tolist()] for k in range(top + deg_l + 1)}
+    refused = 0
+    for k in range(-min(2, deg_l), top + 1):
+        width = len(exps[k + deg_l])
+        q = np.array([[rng.randrange(p) for _ in range(len(_exponents(k, n)))] for _ in range(3)],
+                     dtype=np.int64).reshape(3, -1)
+        num = np.zeros((3, width), dtype=np.int64)
+        for row, qrow in zip(num, q):
+            quot = {e: int(c) for e, c in zip(exps.get(k, []), qrow) if c}
+            for (_, pows), c in reference_mul(_poly(ring, quot), _poly(ring, big_l)).terms.items():
+                row[exps[k + deg_l].index(pows)] = c
+        bent = num.copy()
+        bent[np.arange(3), [rng.randrange(width) for _ in range(3)]] += 1
+        bent %= p
+        for rows in (num, bent):
+            got, exact = essential._divide_by_l_n(ring, k, rows)
+            for row, grow, ok in zip(rows, got, exact):
+                numer = {e: int(c) for e, c in zip(exps[k + deg_l], row) if c}
+                try:
+                    expected = reference_poly_divide(numer, big_l, p)
+                except NotDivisibleError:
+                    assert not ok, (k, numer)
+                    refused += 1
+                    continue
+                assert ok, (k, numer)
+                found = {e: int(c) for e, c in zip(exps.get(k, []), grow) if c}
+                assert found == expected, (k, numer)
+    # at n = 1, L_1 = x_1 divides every monomial: only k < 0 refuses
+    assert refused >= (top if n > 1 else 1), refused
+
+
+def _poly(ring, terms):
+    return _element(ring.p, ring.n, {((), pows): c for pows, c in terms.items()})
 
 
 def test_closure_of_zero_is_zero():

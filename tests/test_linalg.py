@@ -7,7 +7,13 @@ from mui import Ring, basis_dimension, monomial_basis, span_of
 from mui import linalg
 from mui.essential import maximal_subgroups, restrict
 from mui.linalg import SpanBuilder, null_space, rref
-from helpers import kernel_of_map, rand_homogeneous, reference_null_space, reference_rref
+from helpers import (
+    kernel_of_map,
+    rand_homogeneous,
+    reference_compositions,
+    reference_null_space,
+    reference_rref,
+)
 
 R32 = Ring(3, 2)
 
@@ -390,3 +396,16 @@ def test_is_rref():
     assert not linalg._is_rref(np.array([[0, 1, 1], [1, 0, 2]]))  # pivots out of order
     assert not linalg._is_rref(np.array([[2, 0, 1], [0, 1, 1]]))  # pivot not 1
     assert not linalg._is_rref(np.array([[1, 0, 2], [0, 0, 0]]))  # a zero row
+
+
+def test_exponents_match_the_recursive_generator():
+    # every length 0..4 and sum 0..86, except the middle sums at length 4
+    # (the generator takes seconds there); negative sums are empty
+    for n in range(5):
+        for k in range(87) if n < 4 else [*range(31), 86]:
+            got = linalg._exponents(k, n)
+            expected = np.array(list(reference_compositions(k, n)), dtype=np.int64)
+            assert got.shape == (len(expected), n) and got.dtype == np.int64, (k, n)
+            assert np.array_equal(got, expected.reshape(got.shape)), (k, n)
+            assert not got.flags.writeable
+        assert linalg._exponents(-1, n).shape == (0, n)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mui import CLAIMS, ConfigError, Ring, claim_ids, run_all, run_claim
+from mui import CLAIMS, ConfigError, Ring, claim_ids, essential, run_all, run_claim
 from mui.verify import _ess_squared_spans, _joint_annihilator, check_resources
 from helpers import reference_ess_squared_spans, reference_joint_annihilator
 
@@ -186,11 +186,13 @@ def test_a_failing_decompose_fails_the_report(monkeypatch):
 
     calls = []
 
-    def broken(y):
-        calls.append(str(y))
-        raise RuntimeError("decomposition failed to reconstruct the input")
+    def broken(ring, degree, rank, rows):
+        # thm:free decomposes on coordinate rows, many classes per call
+        calls.extend(str(essential._run_element(ring, degree, rank, row)) for row in rows)
+        error = RuntimeError("decomposition failed to reconstruct the input")
+        return {}, [error] * len(rows)
 
-    monkeypatch.setattr(verify_mod, "decompose", broken)
+    monkeypatch.setattr(verify_mod, "decompose_rows", broken)
     report = run_claim("thm:free", R32, 10)
     assert report.status == "fail"
     bad = report.failures()
