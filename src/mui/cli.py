@@ -13,7 +13,7 @@ import sys
 
 from .algebra import Element, Ring, monomial_degree
 from .essential import MaximalSubgroup, decompose, ess_basis, restrict, steenrod_closure
-from .invariants import dickson, l_n, mui, mui_set
+from .invariants import dickson, dickson_degree, l_n, mui_set, subset_degree
 from .linalg import monomial_basis
 from .steenrod import apply_word, parse_word, word_degree
 from .verify import ConfigError, check_decompose, check_degree, check_resources, run_all
@@ -91,21 +91,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_invariant(args) -> int:
     ring = _ring(args)
-    if args.kind == "L":
-        result = l_n(ring)
-    elif args.kind == "M":
-        if args.s is None:
-            raise ConfigError("M needs --s")
-        result = mui(ring, args.s)
-    elif args.kind == "Mset":
-        if args.S is None:
-            raise ConfigError("Mset needs --S")
-        subset = tuple(int(t) for t in args.S.split(",") if t.strip())
-        result = mui_set(ring, subset)
-    else:
-        if args.r is None:
-            raise ConfigError("dickson needs --r")
+    flag = {"M": "s", "Mset": "S", "dickson": "r"}.get(args.kind)
+    if flag and getattr(args, flag) is None:
+        raise ConfigError(f"{args.kind} needs --{flag}")
+    # each degree has a closed form, so a large one is refused before any work
+    if args.kind == "dickson":
+        check_degree(dickson_degree(ring, args.r))
         result = dickson(ring, args.r)
+    else:
+        subset = {"L": (), "M": (args.s,)}.get(args.kind)
+        if subset is None:
+            subset = tuple(int(t) for t in args.S.split(",") if t.strip())
+        check_degree(subset_degree(ring, subset))
+        result = l_n(ring) if args.kind == "L" else mui_set(ring, subset)
     print(json.dumps({"element": str(result)}) if args.json else result)
     return 0
 

@@ -103,12 +103,13 @@ def _generator_image(H: MaximalSubgroup, i: int, gen) -> Element:
     return out
 
 
-def _pivot_power(H: MaximalSubgroup, e: int) -> tuple:
-    """Image of x_pivot^e as (exponent vector, coefficient) pairs, cached."""
+def _pivot_power(H: MaximalSubgroup, e: int) -> Element:
+    """Image of x_pivot^e, cached: for e > 1, the cached images of
+    x_pivot^(e - 1) and x_pivot multiplied."""
     powers = H._images[0]
     if e not in powers:
-        img = _generator_image(H, H.pivot, H.subring.x) ** e
-        powers[e] = tuple((pows, c) for (_, pows), c in img.terms.items())
+        powers[e] = (_pivot_power(H, e - 1) * _pivot_power(H, 1) if e > 1
+                     else _generator_image(H, H.pivot, H.subring.x) ** e)
     return powers[e]
 
 
@@ -142,7 +143,7 @@ def restrict(y: Element, H: MaximalSubgroup) -> Element:
         if not ext_img:
             continue
         kept = pows[:j] + pows[j + 1:]
-        for shift, k in _pivot_power(H, pows[j]):
+        for (_, shift), k in _pivot_power(H, pows[j]).terms.items():
             mon = tuple(map(add, kept, shift))
             ck = c * k
             for idx, s in ext_img:
@@ -157,22 +158,23 @@ def is_essential(y: Element) -> bool:
     return all(restrict(y, H).is_zero() for H in maximal_subgroups(ring))
 
 
-def _restriction_matrix(ring: Ring, r: int, k: int) -> np.ndarray:
+def _restriction_triples(ring: Ring, r: int, k: int) -> tuple:
     """Restriction to every maximal subgroup on the run of rank-r monomials
-    a_E x^m with |m| = k, E-major and m in _exponents order: one
-    codomain x domain block per subgroup, stacked in subgroup order.
+    a_E x^m with |m| = k, E-major and m in _exponents order, as the
+    (row, col, val, shape) triples of pruned_null_space: one codomain x
+    domain block per subgroup, stacked in subgroup order.
 
     Restriction is an algebra map, so the block is the Kronecker product of
     the exterior image matrix (columns a_E) and the polynomial image matrix
-    (columns x^m), written in place as a broadcast product.  x^m goes to
-    its kept exponents shifted by each term of the image of
-    x_pivot^(m_pivot), all columns expanded at once; a mixed-radix key with
-    the first coordinate most significant finds each target among the
-    codomain exponents, which descend in that key.
+    (columns x^m): each pair of their nonzero entries gives one entry, and
+    no position repeats.  x^m goes to its kept exponents shifted by each
+    term of the image of x_pivot^(m_pivot), all columns expanded at once; a
+    mixed-radix key with the first coordinate most significant finds each
+    target among the codomain exponents, which descend in that key.
 
-    Entries are not reduced mod p.  Each is a product of two residues in
-    0..p-1, at most (p - 1)^2, and p is prime, so it is nonzero exactly when
-    it is nonzero mod p, as pruned_null_space requires."""
+    Values are not reduced mod p.  Each is a product of two nonzero
+    residues, at most (p - 1)^2, and p is prime, so it is nonzero mod p, as
+    pruned_null_space requires."""
     n = ring.n
     subs = maximal_subgroups(ring)
     exts = list(combinations(range(1, n + 1), r))
@@ -183,18 +185,16 @@ def _restriction_matrix(ring: Ring, r: int, k: int) -> np.ndarray:
     radix = (k + 1) ** np.arange(n - 2, -1, -1, dtype=np.int64)
     ascending = (cod @ radix)[::-1]
     height = len(sub_exts) * len(cod)
-    mat = np.empty((len(subs) * height, len(exts) * len(dom)), dtype=np.int64)
-    if not height:  # the top rank, or n = 1 above degree 0: every image is 0
-        return mat
-    for h, H in enumerate(subs):
-        ext_mat = np.zeros((len(sub_exts), len(exts)), dtype=np.int64)
-        for col, ext in enumerate(exts):
-            for idx, c in _exterior_image(H, ext):
-                ext_mat[sub_exts[idx], col] = c
-        images = [_pivot_power(H, e) for e in range(k + 1)]
+    parts = [[np.zeros(0, dtype=np.int64)] for _ in range(3)]
+    # at the top rank, or n = 1 above degree 0, every image is 0
+    for h, H in enumerate(subs if height else ()):
+        # the exterior image matrix as (row, column, value) entries
+        ext_nz = np.array([(sub_exts[idx], col, c) for col, ext in enumerate(exts)
+                           for idx, c in _exterior_image(H, ext)], dtype=np.int64).reshape(-1, 3)
+        images = [_pivot_power(H, e).terms for e in range(k + 1)]
         sizes = np.array([len(img) for img in images])
-        coefs = np.array([c for img in images for _, c in img], dtype=np.int64)
-        vecs = np.array([vec for img in images for vec, _ in img], dtype=np.int64)
+        coefs = np.array([c for img in images for c in img.values()], dtype=np.int64)
+        vecs = np.array([vec for img in images for _, vec in img], dtype=np.int64)
         # one (column, term of its pivot power's image) pair per target
         e = dom[:, H.pivot]
         counts = sizes[e]
@@ -202,11 +202,12 @@ def _restriction_matrix(ring: Ring, r: int, k: int) -> np.ndarray:
         first = (np.cumsum(sizes) - sizes)[e] - (np.cumsum(counts) - counts)
         terms = np.arange(len(cols)) + np.repeat(first, counts)
         keys = (np.delete(dom, H.pivot, axis=1)[cols] + vecs[terms]) @ radix
-        poly_mat = np.zeros((len(cod), len(dom)), dtype=np.int64)
-        poly_mat[len(cod) - 1 - np.searchsorted(ascending, keys), cols] = coefs[terms]
-        block = mat[h * height:(h + 1) * height].reshape(len(sub_exts), len(cod), -1, len(dom))
-        np.multiply(ext_mat[:, None, :, None], poly_mat[None, :, None, :], out=block)
-    return mat
+        rows = len(cod) - 1 - np.searchsorted(ascending, keys)
+        block = (h * height + ext_nz[:, :1] * len(cod) + rows,
+                 ext_nz[:, 1:2] * len(dom) + cols, ext_nz[:, 2:] * coefs[terms])
+        for part, b in zip(parts, block):
+            part.append(b.ravel())
+    return (*map(np.concatenate, parts), (len(subs) * height, len(exts) * len(dom)))
 
 
 @lru_cache(maxsize=None)
@@ -224,7 +225,7 @@ def _ess_data(ring: Ring, degree: int):
     for r, run in groupby(basis.monomials, key=lambda mon: len(mon.ext)):
         mons = tuple(run)
         k = degree if ring.mod2 else (degree - r) // 2
-        kernel = pruned_null_space(_restriction_matrix(ring, r, k), ring.p)
+        kernel = pruned_null_space(*_restriction_triples(ring, r, k), ring.p)
         rows = np.zeros((len(kernel), len(basis)), dtype=np.int64)
         start = basis.index_of(mons[0])
         rows[:, start:start + len(mons)] = kernel

@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from .algebra import Element, Ring
+from .algebra import Element, Ring, monomial_degree
 
 
 def det(cells: list[list[Element]]) -> Element:
@@ -124,17 +124,23 @@ def fundamental_coefficients(ring: Ring) -> tuple[Element, ...]:
 def dickson(ring: Ring, r: int) -> Element:
     """The Dickson invariant c_{n,r}, 0 <= r < n: the Moore determinant of
     power rows p^0..p^n with row p^r left out, divided exactly by L_n."""
-    if not 0 <= r < ring.n:
-        raise ValueError(f"Dickson index {r} out of range 0..{ring.n - 1}")
+    dickson_degree(ring, r)
     rows = tuple(s for s in range(1, ring.n + 2) if s != r + 1)
     return _power_det(ring, rows, _others(ring)).exact_divide(l_n(ring))
 
 
+def dickson_degree(ring: Ring, r: int) -> int:
+    """Total degree of c_{n,r}, that of x^(p^n - p^r), for 0 <= r < n."""
+    if not 0 <= r < ring.n:
+        raise ValueError(f"Dickson index {r} out of range 0..{ring.n - 1}")
+    return monomial_degree((), (ring.p**ring.n - ring.p**r,), ring.p)
+
+
 def subset_degree(ring: Ring, subset: tuple[int, ...]) -> int:
-    """Total degree of the subset invariant, from the determinant shape."""
-    p, n = ring.p, ring.n
-    base = sum(p**t for t in range(n))
-    return len(subset) + 2 * (base - sum(p ** (s - 1) for s in subset))
+    """Total degree of M_{n,S}, that of a_S times x_s^(p^(s-1)) for each row
+    s not in S; the empty subset gives that of L_n, at p = 2 too."""
+    subset = _normalize_subset(ring, subset)
+    return monomial_degree(subset, tuple(ring.p ** (s - 1) for s in _others(ring, subset)), ring.p)
 
 
 def _normalize_subset(ring: Ring, subset) -> tuple[int, ...]:

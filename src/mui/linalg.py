@@ -83,14 +83,17 @@ def _pivots(rows: np.ndarray) -> np.ndarray:
 def null_space(mat: np.ndarray, p: int) -> np.ndarray:
     """RREF basis of {v : mat @ v = 0 mod p}.  With the columns reversed,
     the kernel vector of free column f is 1 at f, 0 on the other free
-    columns and on pivot columns after f; reversed back, it is already RREF."""
-    mat = np.asarray(mat, dtype=np.int64)
-    reduced = rref(mat[:, ::-1], p)
+    columns and on pivot columns after f; reversed back, it is already RREF.
+    rref_stack takes the reversed rows in blocks of at most twice the width."""
+    mat = np.asarray(mat)
+    width, rows = mat.shape[1], mat[:, ::-1] % p
+    reduced = rref_stack([rows[i:i + 2 * width] for i in range(0, len(rows), max(1, 2 * width))],
+                         p, width)
     pivots = _pivots(reduced)
-    free = np.ones(mat.shape[1], dtype=bool)
+    free = np.ones(width, dtype=bool)
     free[pivots] = False
     free = np.flatnonzero(free)
-    basis = np.zeros((len(free), mat.shape[1]), dtype=np.int64)
+    basis = np.zeros((len(free), width), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
     basis[:, pivots] = -reduced[:, free].T % p
     return basis[::-1, ::-1]
@@ -144,18 +147,18 @@ def rref_stack(blocks, p: int, width: int) -> np.ndarray:
     against the RREF so far by _clear, the rows that survive go through
     rref, _clear takes their pivot columns out of the RREF so far, and the
     two merge by pivot."""
-    blocks = sorted((b for b in blocks if len(b)), key=len)
+    blocks = sorted((b for b in blocks if b.size), key=len)
     if not blocks:
         return np.zeros((0, width), dtype=np.int64)
     top = blocks.pop()
     top = top.astype(np.int64) if _is_rref(top) else rref(top, p)
     if not blocks:
         return top
-    rest = np.vstack(blocks)
+    rest = np.vstack(blocks)  # a new array, so _clear may change its chunks in place
     step = max(1, STACK_CHUNK_CELLS // max(1, width))
     for i in range(0, len(rest), step):
         pivots = _pivots(top)
-        part = _clear(rest[i:i + step].astype(np.int64), top, pivots, p)
+        part = _clear(rest[i:i + step].astype(np.int64, copy=False), top, pivots, p)
         part = rref(part[part.any(axis=1)], p)
         if len(part):
             new = _pivots(part)
@@ -408,25 +411,27 @@ def span_of(ring: Ring, degree: int, elements) -> DegreeSpan:
     return DegreeSpan(ring.p, degree, rref(np.array(rows), ring.p))
 
 
-def pruned_null_space(mat: np.ndarray, p: int) -> np.ndarray:
-    """RREF basis of {v : mat @ v = 0 mod p}.  First, as in structured
-    Gaussian elimination (LaMacchia and Odlyzko, CRYPTO '90), each row with
-    one nonzero entry on the live columns forces that coordinate to 0, until
-    none is left; zero columns put back into the RREF of the rest keep it RREF.
-
-    mat need not be reduced mod p, but each entry must be nonzero exactly
-    when it is nonzero mod p: the pruning reads mat != 0, and rref reduces."""
-    nonzero = mat != 0
-    live = np.ones(mat.shape[1], dtype=bool)
-    count = nonzero.sum(axis=1)
-    while (single := count == 1).any():
-        forced = np.unique((nonzero[single] & live).argmax(axis=1))
+def pruned_null_space(row, col, val, shape: tuple[int, int], p: int) -> np.ndarray:
+    """RREF basis of {v : mat @ v = 0 mod p}, mat of the given shape with
+    entries val at (row, col), no position twice, each nonzero mod p.  First,
+    as in structured Gaussian elimination (LaMacchia and Odlyzko, CRYPTO
+    '90), each row with one entry on the live columns forces that coordinate
+    to 0, until none is left.  The live rows and columns are then filled in
+    densely, and zero columns put back into the RREF of their kernel keep it
+    RREF."""
+    n_rows, n_cols = shape
+    live = np.ones(n_cols, dtype=bool)
+    while len(forced := col[np.bincount(row, minlength=n_rows)[row] == 1]):
         live[forced] = False
-        count -= nonzero[:, forced].sum(axis=1)
+        keep = live[col]
+        row, col, val = row[keep], col[keep], val[keep]
+    count = np.bincount(row, minlength=n_rows)
     sub = np.zeros((0, 0), dtype=np.int64)
     if live.any():
-        sub = null_space(mat[np.ix_(count > 0, live)], p)
-    kernel = np.zeros((len(sub), mat.shape[1]), dtype=np.int64)
+        mat = np.zeros(((count > 0).sum(), live.sum()), dtype=np.min_scalar_type(p - 1))
+        mat[np.cumsum(count > 0)[row] - 1, np.cumsum(live)[col] - 1] = val % p
+        sub = null_space(mat, p)
+    kernel = np.zeros((len(sub), n_cols), dtype=np.int64)
     kernel[:, live] = sub
     return kernel
 

@@ -354,8 +354,8 @@ def _joint_annihilator(ring: Ring, d: int, subsets: tuple[tuple[int, ...], ...])
     exterior rank d mod 2, so M_S * y = (-1)^(d |S|) y * M_S: each block of
     rows changes by one sign, and the kernel is that of the right products.
     The rows are the (S, monomial) pairs that occur, numbered for each S by
-    np.unique of the monomials' basis positions; the entries are stored in
-    the smallest dtype that holds p - 1."""
+    np.unique of the monomials' basis positions, and the matrix goes to
+    pruned_null_space as its (row, col, val) triples."""
     p, dim = ring.p, basis_dimension(ring, d)
     rows, cols, vals = [], [], []
     height = 0
@@ -367,10 +367,8 @@ def _joint_annihilator(ring: Ring, d: int, subsets: tuple[tuple[int, ...], ...])
         cols.append(src)
         vals.append(coef)
         height += int(found.max(initial=-1)) + 1
-    mat = np.zeros((height, dim), dtype=np.min_scalar_type(p - 1))
-    if rows:
-        mat[np.concatenate(rows), np.concatenate(cols)] = np.concatenate(vals)
-    return DegreeSpan(p, d, pruned_null_space(mat, p))
+    return DegreeSpan(p, d, pruned_null_space(*map(np.concatenate, (rows, cols, vals)),
+                                              (height, dim), p))
 
 
 def _high_rank_span(ring: Ring, d: int, min_rank: int) -> DegreeSpan:

@@ -30,6 +30,7 @@ from mui.linalg import (
     DegreeSpan,
     SpanBuilder,
     monomial_basis,
+    null_space,
     pruned_null_space,
     span_of,
     zero_span,
@@ -504,9 +505,30 @@ def kernel_of_map(domain: DegreeBasis, *maps) -> DegreeSpan:
                 pairs.append(rows.setdefault((k, mon), len(rows)))
                 cols.append(i)
                 vals.append(c)
-    mat = np.zeros((len(rows), len(domain)), dtype=np.int64)
-    mat[pairs, cols] = vals
-    return DegreeSpan(domain.ring.p, domain.degree, pruned_null_space(mat, domain.ring.p))
+    triples = (np.array(t, dtype=np.int64) for t in (pairs, cols, vals))
+    return DegreeSpan(domain.ring.p, domain.degree,
+                      pruned_null_space(*triples, (len(rows), len(domain)), domain.ring.p))
+
+
+def reference_pruned_null_space(mat, p: int) -> np.ndarray:
+    """Reference for linalg.pruned_null_space on a dense matrix whose
+    entries are nonzero exactly when they are nonzero mod p: each row with
+    one nonzero entry on the live columns forces that column, until none is
+    left, and null_space takes the live rows and columns."""
+    mat = np.asarray(mat, dtype=np.int64)
+    nonzero = mat != 0
+    live = np.ones(mat.shape[1], dtype=bool)
+    count = nonzero.sum(axis=1)
+    while (single := count == 1).any():
+        forced = np.unique((nonzero[single] & live).argmax(axis=1))
+        live[forced] = False
+        count -= nonzero[:, forced].sum(axis=1)
+    sub = np.zeros((0, 0), dtype=np.int64)
+    if live.any():
+        sub = null_space(mat[np.ix_(count > 0, live)], p)
+    kernel = np.zeros((len(sub), mat.shape[1]), dtype=np.int64)
+    kernel[:, live] = sub
+    return kernel
 
 
 def reference_joint_annihilator(ring: Ring, d: int, subsets) -> DegreeSpan:

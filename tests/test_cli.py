@@ -108,6 +108,15 @@ def test_degree_free_verbs_are_bounded_by_the_degree_they_build(capsys):
         assert err in ("", "error: element is not essential\n")
         code, out, err = run_cli(capsys, *over, "--p", "3", "--n", "2")
         assert (code, out, err) == (2, "", "error: max degree must lie in 0..200\n")
+    # each invariant's degree is checked before it is built: c_{3,2} at p = 5
+    # has degree 200 and runs, c_{3,1} has 240; c_{3,0} at p = 61, of degree
+    # 453,960, ran for 49 s at 1 GB without the bound
+    code, out, err = run_cli(capsys, "invariant", "dickson", "--r", "2", "--p", "5", "--n", "3")
+    assert (code, err) == (0, "") and out.startswith("x1^100")
+    refused = (2, "", "error: max degree must lie in 0..200\n")
+    assert run_cli(capsys, "invariant", "dickson", "--r", "1", "--p", "5", "--n", "3") == refused
+    for kind in (("L",), ("M", "--s", "1"), ("Mset", "--S", "1,2"), ("dickson", "--r", "0")):
+        assert run_cli(capsys, "invariant", *kind, "--p", "61", "--n", "3") == refused, kind
     # refused before any work; without the bound it ran past a 20 s timeout
     code, out, err = run_cli(
         capsys, "apply", "P1000", "x1^999*x2^998*x3^997*x4^996", "--p", "5", "--n", "4"

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations, groupby, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -213,7 +217,13 @@ def test_restriction_block_matches_restrict(p, n, top):
             # the column order of the block, which _ess_data relies on
             exps = reference_compositions(k, n)
             assert mons == tuple(product(combinations(range(1, n + 1), r), exps))
-            blocks = np.split(essential._restriction_matrix(ring, r, k), len(subs))
+            rows, cols, vals, shape = essential._restriction_triples(ring, r, k)
+            # each value nonzero mod p, each position given once
+            assert (vals % p != 0).all(), (d, r)
+            assert len(np.unique(rows * shape[1] + cols)) == len(rows), (d, r)
+            mat = np.zeros(shape, dtype=np.int64)
+            mat[rows, cols] = vals
+            blocks = np.split(mat, len(subs))
             for H, block in zip(subs, blocks):
                 cod = monomial_basis(H.subring, d).monomials
                 cod = DegreeBasis(H.subring, d, tuple(m for m in cod if len(m.ext) == r))
@@ -265,6 +275,28 @@ def test_ess_basis_makes_no_restriction(monkeypatch):
     for ring, top in ((R33, 12), (Ring(2, 4), 8)):
         for d in range(top + 1):
             assert np.array_equal(reference_ess_basis(ring, d), ess_basis(ring, d).rows), (ring, d)
+
+
+def test_ess_basis_does_not_import_numpy_ma():
+    # np.unique without return_inverse imports numpy.ma lazily, about 10 ms
+    # of every cold process that builds a kernel
+    root = Path(__file__).parents[1]
+    code = (
+        "import sys\n"
+        "from mui import Ring, ess_basis\n"
+        "ess_basis(Ring(3, 4), 15)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert child.returncode == 0, child.stderr[-2000:]
+    assert child.stdout.split() == ["False"]
 
 
 def test_ess_basis_independent_of_complement_choice():

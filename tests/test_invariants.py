@@ -13,7 +13,7 @@ from mui import (
     mui_set,
     product_sign,
 )
-from mui.invariants import subset_degree
+from mui.invariants import dickson_degree, subset_degree
 from helpers import (
     all_subsets,
     fundamental_product,
@@ -192,9 +192,14 @@ def test_adjugate_identity(ring):
             assert total == (l_n(ring) if s == t else ring.zero())
 
 
-@pytest.mark.parametrize("ring", [R32, R33])
+@pytest.mark.parametrize("ring", [R32, R33, R52, Ring(2, 3), Ring(3, 1)])
 def test_subset_invariant_degrees(ring):
-    for subset in all_subsets(ring.n):
+    # the closed forms the CLI checks before it builds: L_n (at p = 2 too),
+    # each M_{n,S} and each c_{n,r}
+    assert l_n(ring).total_degree() == subset_degree(ring, ())
+    for r in range(ring.n):
+        assert dickson(ring, r).total_degree() == dickson_degree(ring, r)
+    for subset in all_subsets(ring.n) if not ring.mod2 else ():
         m = mui_set(ring, subset)
         assert not m.is_zero()
         assert m.total_degree() == subset_degree(ring, subset)

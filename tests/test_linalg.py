@@ -12,6 +12,7 @@ from helpers import (
     rand_homogeneous,
     reference_compositions,
     reference_null_space,
+    reference_pruned_null_space,
     reference_rref,
 )
 
@@ -233,9 +234,10 @@ def test_pruned_kernel_matches_dense_null_space(ring, monkeypatch):
     assert np.array_equal(kernel.rows, null_space(mat, ring.p))
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 65537])
+@pytest.mark.parametrize("p", [2, 3, 5, 251, 65537])
 def test_pruned_null_space_of_unreduced_products(p):
-    # each entry a product of two residues, as in a restriction block: the
+    # each entry a product of two residues, as in a restriction block (at
+    # 251 most overflow uint8, the smallest dtype that holds p - 1): the
     # kernel must be that of the reduced matrix, pruning included
     rng = random.Random(p)
     for _ in range(40):
@@ -243,7 +245,10 @@ def test_pruned_null_space_of_unreduced_products(p):
         chain = rng.sample(range(n_cols), rng.randrange(min(n_cols, n_rows) + 1))
         mat = sparse_with_cascade(rng, p, n_rows, n_cols, chain)
         mat *= np.array([rng.randrange(1, p) for _ in range(mat.size)]).reshape(mat.shape)
-        assert np.array_equal(linalg.pruned_null_space(mat, p), reference_null_space(mat % p, p))
+        rows, cols = np.nonzero(mat)
+        kernel = linalg.pruned_null_space(rows, cols, mat[rows, cols], mat.shape, p)
+        assert np.array_equal(kernel, reference_null_space(mat % p, p))
+        assert np.array_equal(kernel, reference_pruned_null_space(mat, p))
 
 
 def test_fully_forced_domain_skips_elimination(monkeypatch):
@@ -310,6 +315,26 @@ def test_rref_and_null_space_match_eager_reference(p):
             for case in (mat, lifted, products):
                 assert np.array_equal(rref(case, p), reference_rref(case, p)), (case.shape, rank)
                 assert np.array_equal(null_space(case, p), reference_null_space(case, p))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 65537])
+def test_null_space_of_tall_sparse_matrices(p):
+    # more than twice as many rows as columns, so null_space reduces them in
+    # row blocks; with the rows sorted by how many sparse generators they
+    # combine, the blocks span ever more, or ever less, than the ones before
+    rng = np.random.default_rng(p)
+    for n_cols in (1, 2, 5, 13, 30):
+        for n_rows in (2 * n_cols + 1, 3 * n_cols + 2, 7 * n_cols + 5):
+            for rank in sorted({0, 1, n_cols // 2, n_cols}):
+                gens = (rng.random((rank, n_cols)) < 0.3) * rng.integers(1, p, (rank, n_cols))
+                coef = (rng.random((n_rows, rank)) < 0.4) * rng.integers(1, p, (n_rows, rank))
+                used = rng.integers(0, rank + 1, n_rows)
+                coef[np.arange(rank) >= used[:, None]] = 0
+                for order in (np.argsort(used), np.argsort(-used)):
+                    mat = coef[order] @ gens % p
+                    for case in (mat, mat * rng.integers(1, p, mat.shape)):
+                        assert np.array_equal(null_space(case, p), reference_null_space(case, p)), \
+                            (n_rows, n_cols, rank)
 
 
 def test_elimination_refuses_primes_that_overflow_int64():
