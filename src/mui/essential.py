@@ -11,11 +11,10 @@ restrictions, computed with exact linear algebra one exterior rank at a time.
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations, groupby, product
+from itertools import combinations, product
 from operator import add
 
 from . import field
@@ -24,10 +23,11 @@ from .invariants import l_n, mui_set, product_sign
 from .linalg import (
     DegreeSpan,
     _check_int64_prime,
+    _exponent_rank,
     _exponents,
-    _position_tables,
-    _positions,
+    _exterior,
     _read_only,
+    _term_arrays,
     basis_dimension,
     monomial_basis,
     pruned_null_space,
@@ -168,9 +168,8 @@ def _restriction_triples(ring: Ring, r: int, k: int) -> tuple:
     the exterior image matrix (columns a_E) and the polynomial image matrix
     (columns x^m): each pair of their nonzero entries gives one entry, and
     no position repeats.  x^m goes to its kept exponents shifted by each
-    term of the image of x_pivot^(m_pivot), all columns expanded at once; a
-    mixed-radix key with the first coordinate most significant finds each
-    target among the codomain exponents, which descend in that key.
+    term of the image of x_pivot^(m_pivot), all columns expanded at once,
+    and _exponent_rank finds each target among the codomain exponents.
 
     Values are not reduced mod p.  Each is a product of two nonzero
     residues, at most (p - 1)^2, and p is prime, so it is nonzero mod p, as
@@ -180,10 +179,6 @@ def _restriction_triples(ring: Ring, r: int, k: int) -> tuple:
     exts = list(combinations(range(1, n + 1), r))
     sub_exts = {ext: i for i, ext in enumerate(combinations(range(1, n), r))}
     dom, cod = _exponents(k, n), _exponents(k, n - 1)
-    if (k + 1) ** (n - 1) > np.iinfo(np.int64).max:
-        raise ValueError(f"exponent keys of degree {k} in {n - 1} variables overflow int64")
-    radix = (k + 1) ** np.arange(n - 2, -1, -1, dtype=np.int64)
-    ascending = (cod @ radix)[::-1]
     height = len(sub_exts) * len(cod)
     parts = [[np.zeros(0, dtype=np.int64)] for _ in range(3)]
     # at the top rank, or n = 1 above degree 0, every image is 0
@@ -201,8 +196,7 @@ def _restriction_triples(ring: Ring, r: int, k: int) -> tuple:
         cols = np.repeat(np.arange(len(dom)), counts)
         first = (np.cumsum(sizes) - sizes)[e] - (np.cumsum(counts) - counts)
         terms = np.arange(len(cols)) + np.repeat(first, counts)
-        keys = (np.delete(dom, H.pivot, axis=1)[cols] + vecs[terms]) @ radix
-        rows = len(cod) - 1 - np.searchsorted(ascending, keys)
+        rows = _exponent_rank(np.delete(dom, H.pivot, axis=1)[cols] + vecs[terms])
         block = (h * height + ext_nz[:, :1] * len(cod) + rows,
                  ext_nz[:, 1:2] * len(dom) + cols, ext_nz[:, 2:] * coefs[terms])
         for part, b in zip(parts, block):
@@ -222,13 +216,11 @@ def _ess_data(ring: Ring, degree: int):
     basis = monomial_basis(ring, degree)
     by_rank: dict[int, DegreeSpan] = {}
     full = np.zeros((0, len(basis)), dtype=np.int64)
-    for r, run in groupby(basis.monomials, key=lambda mon: len(mon.ext)):
-        mons = tuple(run)
+    for r, run in basis.runs.items():
         k = degree if ring.mod2 else (degree - r) // 2
         kernel = pruned_null_space(*_restriction_triples(ring, r, k), ring.p)
         rows = np.zeros((len(kernel), len(basis)), dtype=np.int64)
-        start = basis.index_of(mons[0])
-        rows[:, start:start + len(mons)] = kernel
+        rows[:, run] = kernel
         by_rank[r] = DegreeSpan(ring.p, degree, rows)
         full = np.vstack([full, rows])
     return DegreeSpan(ring.p, degree, full), by_rank
@@ -270,23 +262,24 @@ def decompose(y: Element) -> dict[tuple[int, ...], Element]:
     result = {subset: ring.zero() for subset in combinations(range(1, ring.n + 1), r)}
     for degree in sorted(set(degrees.tolist())):
         part = degrees == degree
-        row = np.zeros((1, _run_width(ring, degree, r)), dtype=np.int64)
-        row[0, _positions(ring, degree, masks[part], pows[part]) - _run_start(ring, degree, r)] = \
-            coef[part]
+        basis = monomial_basis(ring, degree)
+        run = basis.run(r)
+        row = np.zeros((1, run.stop - run.start), dtype=np.int64)
+        row[0, basis.positions(masks[part], pows[part]) - run.start] = coef[part]
         parts, errors = decompose_rows(ring, degree, r, row)
         if errors[0] is not None:
             raise errors[0]
         for subset, f in parts.items():
             if f.shape[1]:
-                result[subset] = result[subset] + _run_element(ring, 2 * _quotient_degree(
-                    ring, degree, subset), 0, f[0])
+                quotients = monomial_basis(ring, 2 * _quotient_degree(ring, degree, subset))
+                result[subset] = result[subset] + quotients.element(f[0], 0)
     return result
 
 
 def decompose_rows(ring: Ring, degree: int, rank: int, rows: np.ndarray) -> tuple[dict, list]:
     """decompose for many classes of one degree and exterior rank at once,
     on coefficient arrays: the classes are coordinate rows, entries in
-    0..p-1, on the monomials of _run(ring, degree, rank).  Returns
+    0..p-1, on the run of that rank in monomial_basis(ring, degree).  Returns
     ({S: f_S}, errors): f_S holds one coordinate row per class on the
     exponent vectors of its degree (_exponents order; no columns when
     deg M_{n,S} > degree), and errors[i] is None, or the ValueError or
@@ -317,7 +310,8 @@ def decompose_rows(ring: Ring, degree: int, rank: int, rows: np.ndarray) -> tupl
         if k >= 0:
             recon += _left_product(ring, _mui_terms(ring, subset), f, 2 * k, 0)
     exact &= (recon % p == rows).all(axis=1)
-    return result, [None if ok else _failure(_run_element(ring, degree, rank, row))
+    basis = monomial_basis(ring, degree)
+    return result, [None if ok else _failure(basis.element(row, rank))
                     for ok, row in zip(exact.tolist(), rows)]
 
 
@@ -342,49 +336,16 @@ def _mui_terms(ring: Ring, subset: tuple[int, ...]) -> tuple:
     return _read_only(*_term_arrays(ring, mui_set(ring, subset)))
 
 
-def _run_start(ring: Ring, degree: int, rank: int) -> int:
-    """Position in monomial_basis(ring, degree) of the first monomial of
-    the given exterior rank, at odd p: its first exterior part is a_1..a_r."""
-    return int(_position_tables(ring, degree)[0][(1 << rank) - 1])
-
-
-def _run_width(ring: Ring, degree: int, rank: int) -> int:
-    """The number of monomials of one exterior rank in one degree, at odd p."""
-    k = (degree - rank) // 2
-    return math.comb(ring.n, rank) * math.comb(k + ring.n - 1, ring.n - 1) if k >= 0 else 0
-
-
-@lru_cache(maxsize=None)
-def _run(ring: Ring, degree: int, rank: int) -> tuple[np.ndarray, np.ndarray]:
-    """The monomials of one exterior rank in one degree at odd p, in basis
-    order (the contiguous run of that rank in monomial_basis), as read-only
-    exterior bitmasks and exponent rows, built without the basis: the
-    rank-r parts in lexicographic order, each followed by every exponent
-    vector of the degree in _exponents order."""
-    exps = _exponents((degree - rank) // 2, ring.n)
-    masks = [sum(1 << (i - 1) for i in ext) for ext in combinations(range(1, ring.n + 1), rank)]
-    return _read_only(np.repeat(np.array(masks, dtype=np.int64), len(exps)),
-                      np.tile(exps, (len(masks), 1)))
-
-
-def _run_element(ring: Ring, degree: int, rank: int, row: np.ndarray) -> Element:
-    """The class with the given coordinate row on _run(ring, degree, rank)."""
-    masks, pows = _run(ring, degree, rank)
-    at = np.flatnonzero(row)
-    exts = {m: tuple(i + 1 for i in range(ring.n) if m >> i & 1) for m in set(masks[at].tolist())}
-    return _element(ring.p, ring.n, {(exts[m], tuple(e)): c for m, e, c in zip(
-        masks[at].tolist(), pows[at].tolist(), row[at].tolist())})
-
-
 def _left_product(ring: Ring, g: tuple, rows: np.ndarray, degree: int, rank: int) -> np.ndarray:
-    """g y for the classes y given as coordinate rows on _run(ring, degree,
-    rank) and g as term arrays of one degree and exterior rank, by
-    _product_map and _apply_map: coordinate rows on the run where the
-    products land."""
+    """g y for the classes y given as coordinate rows on the rank run of
+    monomial_basis(ring, degree) and g as term arrays of one degree and
+    exterior rank, by _product_map and _apply_map: coordinate rows on the
+    run where the products land."""
     t, t_rank = degree + _term_degree(ring, g), rank + bin(int(g[1][0])).count("1")
-    src, tgt, coef, _ = _product_map(ring, degree, *_run(ring, degree, rank), g)
-    return _apply_map(rows, src, tgt - _run_start(ring, t, t_rank), coef,
-                      _run_width(ring, t, t_rank), ring.p)
+    masks, pows = monomial_basis(ring, degree).run_arrays(rank)
+    src, tgt, coef, _ = _product_map(ring, degree, masks, pows, g)
+    run = monomial_basis(ring, t).run(t_rank)
+    return _apply_map(rows, src, tgt - run.start, coef, run.stop - run.start, ring.p)
 
 
 @lru_cache(maxsize=None)
@@ -409,11 +370,11 @@ def _division_levels(ring: Ring, k: int) -> tuple[list, np.ndarray, np.ndarray]:
     order = np.lexsort(terms.T[::-1])[::-1]
     terms, coef = terms[order], np.where(coef > p // 2, coef - p, coef)[order]
     quot = _exponents(k, n)
-    products = _exponent_positions(ring, k + int(terms[0].sum()), quot[:, None] + terms)
+    products = _exponent_rank(quot[:, None] + terms)
     shifted = quot[:, None, :] + (terms[0] - terms[1:])
     valid = (shifted >= 0).all(axis=2)
     deps = np.full(valid.shape, len(quot), dtype=np.int64)
-    deps[valid] = _exponent_positions(ring, k, shifted[valid])
+    deps[valid] = _exponent_rank(shifted[valid])
     level = np.zeros(len(quot) + 1, dtype=np.int64)
     level[-1] = -1
     while True:
@@ -425,14 +386,6 @@ def _division_levels(ring: Ring, k: int) -> tuple[list, np.ndarray, np.ndarray]:
     bounds = np.searchsorted(longer[ranked], np.arange(1, int(longer.max(initial=0)) + 1))
     levels = [(idx, products[idx, 0], deps[idx]) for idx in np.split(ranked, bounds)]
     return levels, products, coef
-
-
-def _exponent_positions(ring: Ring, k: int, pows: np.ndarray) -> np.ndarray:
-    """Positions of exponent vectors of sum k, given as the last axis of
-    pows, in _exponents(k, n)."""
-    flat = pows.reshape(-1, ring.n)
-    at = _positions(ring, 2 * k, np.zeros(len(flat), dtype=np.int64), flat)
-    return (at - _run_start(ring, 2 * k, 0)).reshape(pows.shape[:-1])
 
 
 def _divide_by_l_n(ring: Ring, k: int, num: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -536,7 +489,8 @@ def _operation_maps(ring: Ring, d: int, support: np.ndarray, max_degree: int) ->
             i, src = np.nonzero(masks >> np.arange(n)[:, None] & 1)
             rest, at = np.unique(masks[src] ^ 1 << i, return_inverse=True)
             sign = _signs(ring, 1 << np.arange(n), rest)[i, at] % p
-            tgt = _positions(ring, d + 1, rest[at], pows[src] + np.eye(n, dtype=np.int64)[i])
+            shifted = pows[src] + np.eye(n, dtype=np.int64)[i]
+            tgt = monomial_basis(ring, d + 1).positions(rest[at], shifted)
             found.append((d + 1, (src, tgt, sign, np.zeros_like(src))))
     step = 1 if ring.mod2 else 2 * (p - 1)
     k = 1
@@ -545,7 +499,7 @@ def _operation_maps(ring: Ring, d: int, support: np.ndarray, max_degree: int) ->
         if k <= (d if ring.mod2 else d // 2):
             t = d + k * step
             rows, shifted, coef = _power_map(pows, k, p)
-            found.append((t, (rows, _positions(ring, t, masks[rows], shifted), coef,
+            found.append((t, (rows, monomial_basis(ring, t).positions(masks[rows], shifted), coef,
                               np.zeros_like(rows))))
         k *= p
     return found
@@ -573,22 +527,9 @@ IMAGE_CHUNK_CELLS = 2**21
 def _signs(ring: Ring, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """The Koszul signs of a_T a_E for the exterior bitmasks (bit i - 1 for
     a_i) T in left and E in right, 0 where T meets E, read from _merge_ext."""
-    exts = [[tuple(i + 1 for i in range(ring.n) if m >> i & 1) for m in a.tolist()]
-            for a in (left, right)]
+    exts = [[_exterior(m, ring.n) for m in a.tolist()] for a in (left, right)]
     return np.array([[(_merge_ext(t, e) or (0,))[0] for e in exts[1]] for t in exts[0]],
                     dtype=np.int64).reshape(len(left), len(right))
-
-
-def _term_arrays(ring: Ring, *elements: Element) -> tuple:
-    """Elements g_0, g_1, ... as the term arrays (which, masks, pows, coef)
-    that _product_map reads: term i is coef[i] a_E x^pows[i] in g_which[i],
-    E given by the bitmask masks[i]."""
-    terms = [(k, ext, exps, c)
-             for k, g in enumerate(elements) for (ext, exps), c in g.terms.items()]
-    bits = {ext: sum(1 << (i - 1) for i in ext) for ext in {term[1] for term in terms}}
-    table = np.array([(k, bits[ext], c, *exps) for k, ext, exps, c in terms],
-                     dtype=np.int64).reshape(-1, 3 + ring.n)
-    return table[:, 0], table[:, 1], table[:, 3:], table[:, 2]
 
 
 def _term_degree(ring: Ring, g: tuple) -> int:
@@ -604,7 +545,7 @@ def _product_map(ring: Ring, d: int, masks: np.ndarray, pows: np.ndarray, g: tup
     monomial, map k for g_k.  The g_k share one degree and are given as
     term arrays (see _term_arrays).  A term c a_T x^q times a_E x^m is
     sign(T, E) c a_(T u E) x^(q + m), the sign read from one _signs table
-    over the distinct T and E; targets are found by _positions, so no basis
+    over the distinct T and E; DegreeBasis.positions finds the targets, so no basis
     of the degree of g or of the product is built."""
     which, g_masks, g_pows, g_coef = g
     g_exts, g_ext = np.unique(g_masks, return_inverse=True)
@@ -612,7 +553,7 @@ def _product_map(ring: Ring, d: int, masks: np.ndarray, pows: np.ndarray, g: tup
     live = _signs(ring, g_exts, exts)[g_ext][:, ext]
     term, src = np.nonzero(live)
     t = d + (_term_degree(ring, g) if len(which) else 0)
-    tgt = _positions(ring, t, g_masks[term] | masks[src], g_pows[term] + pows[src])
+    tgt = monomial_basis(ring, t).positions(g_masks[term] | masks[src], g_pows[term] + pows[src])
     return src, tgt, live[term, src] * g_coef[term] % ring.p, which[term]
 
 

@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .algebra import Element, Monomial, Ring, _element, term_key
+from .algebra import ZERO, Element, Monomial, Ring, _element, monomial_degree
 
 
 # One elimination step moves an entry by at most (p - 1)^2, which must fit
@@ -246,54 +246,134 @@ def zero_span(p: int, degree: int, ambient_dim: int) -> DegreeSpan:
 
 @dataclass(frozen=True)
 class DegreeBasis:
-    """Monomials of one total degree, in the canonical term order: all of
-    them from monomial_basis, or a contiguous run of one exterior rank."""
+    """The monomials a_E x^m of one total degree in the canonical term
+    order: exterior rank descending, the exterior parts E of one rank in
+    lexicographic order, each followed by every exponent vector m of its
+    polynomial degree in _exponents order (at p = 2, rank 0 alone).
+
+    Each rank is a contiguous run.  The position of a_E x^m is closed form,
+    starts[E] + _exponent_rank(m), so a lookup enumerates nothing; the
+    monomials themselves are built one run at a time, on first use.
+    monomial_basis is the only constructor."""
 
     ring: Ring
     degree: int
-    monomials: tuple[Monomial, ...]
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_index", {mon: i for i, mon in enumerate(self.monomials)}
-        )
+    @cached_property
+    def runs(self) -> dict[int, slice]:
+        """The positions of each exterior rank r the degree holds, in basis
+        order: C(n, r) exterior parts times the exponent vectors of sum
+        (degree - r) / 2 (of sum degree at p = 2)."""
+        n, d = self.ring.n, self.degree
+        runs, at = {}, 0
+        for r in range(0 if self.ring.mod2 else min(n, d), -1, -1):
+            k, odd = divmod(d - r, 1 if self.ring.mod2 else 2)
+            if k >= 0 and not odd:
+                size = math.comb(n, r) * (math.comb(k + n - 1, n - 1) if n else int(k == 0))
+                runs[r], at = slice(at, at + size), at + size
+        return runs
+
+    def run(self, rank: int) -> slice:
+        """The positions of the monomials of one exterior rank; empty for a
+        rank the degree does not hold."""
+        return self.runs.get(rank, slice(0, 0))
 
     def __len__(self) -> int:
-        return len(self.monomials)
+        return sum(run.stop - run.start for run in self.runs.values())
+
+    @cached_property
+    def starts(self) -> np.ndarray:
+        """The position of the first monomial of each exterior part, by
+        bitmask (bit i - 1 for a_i), read-only; 0 for a part the degree
+        does not hold."""
+        n = self.ring.n
+        starts = np.zeros(1 << n, dtype=np.int64)
+        for r, run in self.runs.items():
+            parts = list(combinations(range(n), r))
+            size = (run.stop - run.start) // len(parts)
+            for i, ext in enumerate(parts):
+                starts[sum(1 << j for j in ext)] = run.start + i * size
+        return _read_only(starts)[0]
+
+    def positions(self, masks, pows) -> np.ndarray:
+        """Positions of the monomials a_E x^m of this degree given by
+        exterior bitmasks and exponent rows."""
+        return self.starts[masks] + _exponent_rank(pows)
 
     def index_of(self, mon) -> int:
-        return self._index[tuple(mon)]
+        """The position of one monomial (ext, pows) of this degree."""
+        ext, pows = mon
+        if monomial_degree(ext, pows, self.ring.p) != self.degree:
+            raise ValueError(f"{mon} does not live in degree {self.degree} of {self.ring}")
+        return int(self.positions(sum(1 << (i - 1) for i in ext), np.array(pows, dtype=np.int64)))
 
-    def coords(self, y: Element) -> np.ndarray:
-        """Coordinate vector of a homogeneous element of this degree."""
-        vec = np.zeros(len(self.monomials), dtype=np.int64)
-        index = self._index
-        for mon, c in y.terms.items():
-            i = index.get(mon)
-            if i is None:
-                raise ValueError(
-                    f"term {mon} does not live in degree {self.degree} of {self.ring}"
-                )
-            vec[i] = c
-        return vec
+    @lru_cache(maxsize=None)
+    def run_arrays(self, rank: int) -> tuple[np.ndarray, np.ndarray]:
+        """The monomials of run(rank) as read-only exterior bitmasks and
+        exponent rows, built once without the rest of the degree: the
+        rank-r parts in lexicographic order, each followed by every
+        exponent vector of its polynomial degree."""
+        n = self.ring.n
+        exps = _exponents((self.degree - rank) // (1 if self.ring.mod2 else 2), n)
+        parts = combinations(range(n), rank) if rank in self.runs else ()
+        masks = np.array([sum(1 << i for i in ext) for ext in parts], dtype=np.int64)
+        return _read_only(np.repeat(masks, len(exps)), np.tile(exps, (len(masks), 1)))
 
     @cached_property
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The monomials as read-only arrays: exterior bitmasks (bit i - 1
-        for a_i) and exponent rows."""
-        masks = np.array([sum(1 << (i - 1) for i in mon.ext) for mon in self.monomials],
-                         dtype=np.int64)
-        pows = np.array([mon.pows for mon in self.monomials], dtype=np.int64)
-        return _read_only(masks, pows.reshape(len(self.monomials), self.ring.n))
+        """The whole basis as run_arrays gives each run."""
+        empty = np.zeros(0, dtype=np.int64), np.zeros((0, self.ring.n), dtype=np.int64)
+        masks, pows = zip(empty, *map(self.run_arrays, self.runs))
+        return _read_only(np.concatenate(masks), np.concatenate(pows))
 
-    def element(self, vec: np.ndarray) -> Element:
-        terms = {
-            (mon.ext, mon.pows): int(c) for mon, c in zip(self.monomials, vec, strict=True) if c
-        }
-        return _element(self.ring.p, self.ring.n, terms)
+    @cached_property
+    def monomials(self) -> tuple[Monomial, ...]:
+        masks, pows = self.arrays
+        return tuple(Monomial(_exterior(m, self.ring.n), tuple(e))
+                     for m, e in zip(masks.tolist(), pows.tolist()))
+
+    def coords(self, y: Element) -> np.ndarray:
+        """Coordinate vector of a homogeneous element of this degree."""
+        if (y.p, y.n) != (self.ring.p, self.ring.n):
+            raise ValueError("element and basis live over different rings")
+        if y.total_degree() not in (self.degree, ZERO):
+            raise ValueError(f"{y} does not live in degree {self.degree} of {self.ring}")
+        _, masks, pows, coef = _term_arrays(self.ring, y)
+        vec = np.zeros(len(self), dtype=np.int64)
+        vec[self.positions(masks, pows)] = coef
+        return vec
+
+    def element(self, vec: np.ndarray, rank: int | None = None) -> Element:
+        """The element with coordinate vector vec on the whole basis, or on
+        run(rank) when a rank is given."""
+        masks, pows = self.arrays if rank is None else self.run_arrays(rank)
+        vec = np.asarray(vec)
+        if vec.shape != masks.shape:
+            raise ValueError(f"{len(vec)} coordinates for {len(masks)} monomials")
+        at = np.flatnonzero(vec)
+        n = self.ring.n
+        return _element(self.ring.p, n, {(_exterior(m, n), tuple(e)): c for m, e, c in zip(
+            masks[at].tolist(), pows[at].tolist(), vec[at].tolist())})
 
     def elements(self, mat: np.ndarray) -> list[Element]:
         return [self.element(row) for row in mat]
+
+
+def _exterior(mask: int, n: int) -> tuple[int, ...]:
+    """The exterior indices of a bitmask (bit i - 1 for a_i)."""
+    return tuple(i + 1 for i in range(n) if mask >> i & 1)
+
+
+def _term_arrays(ring: Ring, *elements: Element) -> tuple:
+    """Elements g_0, g_1, ... as term arrays (which, masks, pows, coef):
+    term i is coef[i] a_E x^pows[i] in g_which[i], E given by the bitmask
+    masks[i]."""
+    terms = [(k, ext, exps, c)
+             for k, g in enumerate(elements) for (ext, exps), c in g.terms.items()]
+    bits = {ext: sum(1 << (i - 1) for i in ext) for ext in {term[1] for term in terms}}
+    table = np.array([(k, bits[ext], c, *exps) for k, ext, exps, c in terms],
+                     dtype=np.int64).reshape(-1, 3 + ring.n)
+    return table[:, 0], table[:, 1], table[:, 3:], table[:, 2]
 
 
 @lru_cache(maxsize=None)
@@ -313,45 +393,28 @@ def _exponents(total: int, parts: int) -> np.ndarray:
     return _read_only(out)[0]
 
 
+def _exponent_rank(pows) -> np.ndarray:
+    """The position of each exponent vector m, the last axis of pows, in
+    _exponents(|m|, n): the inverse of _exponents.  The vectors before m
+    there agree with m up to some entry and are larger in it; for the q
+    entries past it, of sum s, there are C(s + q - 1, q) of them (Knuth,
+    TAOCP 4A, 7.2.1.3)."""
+    pows = np.asarray(pows, dtype=np.int64)
+    rank = np.zeros(pows.shape[:-1], dtype=np.int64)
+    total = np.zeros_like(rank)
+    for q in range(1, pows.shape[-1]):
+        total = total + pows[..., -q]
+        count = total
+        for j in range(2, q + 1):
+            count = count * (total + j - 1) // j
+        rank += count
+    return rank
+
+
 @lru_cache(maxsize=None)
 def monomial_basis(ring: Ring, degree: int) -> DegreeBasis:
-    """Enumerate every monomial of the given total degree."""
-    n = ring.n
-    mons: list[Monomial] = []
-    if ring.mod2:
-        mons = [Monomial((), m) for m in map(tuple, _exponents(degree, n).tolist())]
-    else:
-        for r in range(min(n, degree) + 1):
-            rest = degree - r
-            if rest % 2:
-                continue
-            exps = list(map(tuple, _exponents(rest // 2, n).tolist()))
-            for ext in combinations(range(1, n + 1), r):
-                mons += [Monomial(ext, m) for m in exps]
-    mons.sort(key=term_key)
-    return DegreeBasis(ring, degree, tuple(mons))
-
-
-@lru_cache(maxsize=None)
-def _position_tables(ring: Ring, degree: int):
-    """For _positions: the first basis position of each exterior part, by
-    bitmask, and counts[s, q] = C(s + q - 1, q), the number of exponent
-    vectors in q + 1 variables of total s - 1."""
-    n = ring.n
-    top = degree if ring.mod2 else degree // 2
-    size = (lambda k: math.comb(k + n - 1, n - 1)) if n else (lambda k: int(k == 0))
-    starts = np.zeros(1 if ring.mod2 else 1 << n, dtype=np.int64)
-    at = 0
-    for r in range(0 if ring.mod2 else min(n, degree), -1, -1):
-        if not ring.mod2 and (degree - r) % 2:
-            continue
-        k = degree if ring.mod2 else (degree - r) // 2
-        for ext in combinations(range(n), r):
-            starts[sum(1 << i for i in ext)] = at
-            at += size(k)
-    counts = np.array([[math.comb(s + q - 1, q) if s else 0 for q in range(n)]
-                       for s in range(top + 1)], dtype=np.int64).reshape(top + 1, n)
-    return _read_only(starts, counts)
+    """The monomials of one total degree, in the canonical term order."""
+    return DegreeBasis(ring, degree)
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -361,37 +424,9 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _positions(ring: Ring, degree: int, masks: np.ndarray, pows: np.ndarray) -> np.ndarray:
-    """Positions in monomial_basis(ring, degree) of the monomials a_E x^m
-    given by exterior bitmasks (bit i - 1 for a_i) and exponent rows.
-
-    The basis runs over the exterior parts by rank descending, then
-    lexicographically, each followed by its exponent vectors in descending
-    lexicographic order.  Vectors before m there agree with m up to some
-    entry i and are larger in it: C(s + q - 1, q) of them, where s is the
-    sum of m past entry i and q the number of entries past it."""
-    starts, counts = _position_tables(ring, degree)
-    n = pows.shape[1]
-    out = starts[masks].copy()
-    suffix = np.cumsum(pows[:, ::-1], axis=1)[:, ::-1]
-    for i in range(n - 1):
-        out += counts[suffix[:, i + 1], n - 1 - i]
-    return out
-
-
 def basis_dimension(ring: Ring, degree: int) -> int:
     """Dimension of one graded piece, by counting (no enumeration)."""
-    n = ring.n
-    if ring.mod2:
-        return math.comb(degree + n - 1, n - 1) if n else int(degree == 0)
-    total = 0
-    for r in range(min(n, degree) + 1):
-        rest = degree - r
-        if rest % 2:
-            continue
-        k = rest // 2
-        total += math.comb(n, r) * (math.comb(k + n - 1, n - 1) if n else int(k == 0))
-    return total
+    return len(monomial_basis(ring, degree))
 
 
 def span_of(ring: Ring, degree: int, elements) -> DegreeSpan:

@@ -26,9 +26,6 @@ from .essential import (
     _mui_terms,
     _product_map,
     _quotient_degree,
-    _run_element,
-    _run_start,
-    _run_width,
     decompose_rows,
     ess_basis,
     ess_basis_by_rank,
@@ -355,7 +352,8 @@ def _joint_annihilator(ring: Ring, d: int, subsets: tuple[tuple[int, ...], ...])
     rows changes by one sign, and the kernel is that of the right products.
     The rows are the (S, monomial) pairs that occur, numbered for each S by
     np.unique of the monomials' basis positions, and the matrix goes to
-    pruned_null_space as its (row, col, val) triples."""
+    pruned_null_space as its (row, col, val) triples.  The cached span is
+    stored in the smallest dtype that holds p - 1."""
     p, dim = ring.p, basis_dimension(ring, d)
     rows, cols, vals = [], [], []
     height = 0
@@ -367,17 +365,16 @@ def _joint_annihilator(ring: Ring, d: int, subsets: tuple[tuple[int, ...], ...])
         cols.append(src)
         vals.append(coef)
         height += int(found.max(initial=-1)) + 1
-    return DegreeSpan(p, d, pruned_null_space(*map(np.concatenate, (rows, cols, vals)),
-                                              (height, dim), p))
+    kernel = pruned_null_space(*map(np.concatenate, (rows, cols, vals)), (height, dim), p)
+    return DegreeSpan(p, d, kernel.astype(np.min_scalar_type(p - 1)))
 
 
 def _high_rank_span(ring: Ring, d: int, min_rank: int) -> DegreeSpan:
+    """The span of the monomials of exterior rank at least min_rank: the
+    runs come by rank descending, so these are the first ones."""
     basis = monomial_basis(ring, d)
-    idx = [i for i, mon in enumerate(basis.monomials) if len(mon.ext) >= min_rank]
-    rows = np.zeros((len(idx), len(basis)), dtype=np.int64)
-    for k, i in enumerate(idx):
-        rows[k, i] = 1
-    return DegreeSpan(ring.p, d, rows)
+    top = max((run.stop for r, run in basis.runs.items() if r >= min_rank), default=0)
+    return DegreeSpan(ring.p, d, np.eye(top, len(basis), dtype=np.int64))
 
 
 def _check_joint_ann(ring: Ring, max_degree: int) -> list[Case]:
@@ -471,7 +468,9 @@ def _check_free(ring: Ring, max_degree: int) -> list[Case]:
                      for s in subsets}))
     bad = {}
     for (r, target), group in groups.items():
-        ys = np.zeros((len(group), _run_width(ring, target, r)), dtype=np.int64)
+        basis = monomial_basis(ring, target)
+        run = basis.run(r)
+        ys = np.zeros((len(group), run.stop - run.start), dtype=np.int64)
         coeffs = {}
         for s in group[0][1]:
             coeffs[s] = np.array([c[s] for _, c in group])
@@ -486,7 +485,7 @@ def _check_free(ring: Ring, max_degree: int) -> list[Case]:
             error = errors[j]
             if error is None and all(np.array_equal(got[s][j], f[i]) for s, f in coeffs.items()):
                 continue
-            y = _run_element(ring, target, r, ys[i])
+            y = basis.element(ys[i], r)
             bad[group[i][0]] = f"y={y}" + ("" if error is None else f" ({_error_text(error)})")
     first = min(bad, default=None)
     cases = [
@@ -499,19 +498,18 @@ def _check_free(ring: Ring, max_degree: int) -> list[Case]:
     ]
     bound = min(max_degree, 20)
     for d in range(bound + 1):
+        basis = monomial_basis(ring, d)
         for r, span in sorted(ess_basis_by_rank(ring, d).items()):
             if span.dim == 0:
                 continue
-            start = _run_start(ring, d, r)
-            _, errors = decompose_rows(ring, d, r,
-                                       span.rows[:, start:start + _run_width(ring, d, r)])
+            _, errors = decompose_rows(ring, d, r, span.rows[:, basis.run(r)])
             fail = next((i for i, err in enumerate(errors) if err is not None), None)
             cases.append(
                 Case(
                     f"spanning[d={d},r={r}]",
                     f"{span.dim} elements decompose",
                     "all decompose" if fail is None else
-                    f"failed on {monomial_basis(ring, d).element(span.rows[fail])} "
+                    f"failed on {basis.element(span.rows[fail])} "
                     f"({_error_text(errors[fail])})",
                     fail is None,
                 )

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from mui import Element, NotDivisibleError, Ring, ZERO, det, l_n, mui_set
 from mui import essential, field
-from mui.algebra import _element, _merge_ext
+from mui.algebra import Monomial, _element, _merge_ext, term_key
 from mui.essential import MaximalSubgroup, ess_basis, is_essential, maximal_subgroups, restrict
 from mui.invariants import (
     _check_row,
@@ -29,6 +29,7 @@ from mui.linalg import (
     DegreeBasis,
     DegreeSpan,
     SpanBuilder,
+    _exponents,
     monomial_basis,
     null_space,
     pruned_null_space,
@@ -76,6 +77,26 @@ def reference_compositions(total: int, parts: int):
     for first in range(total, -1, -1):
         for rest in reference_compositions(total - first, parts - 1):
             yield (first,) + rest
+
+
+def reference_monomial_basis(ring: Ring, degree: int) -> tuple[Monomial, ...]:
+    """Reference for monomial_basis: every monomial of the degree,
+    enumerated rank by rank and sorted by term_key, the enumeration that
+    the array-backed DegreeBasis replaced."""
+    n = ring.n
+    mons: list[Monomial] = []
+    if ring.mod2:
+        mons = [Monomial((), m) for m in map(tuple, _exponents(degree, n).tolist())]
+    else:
+        for r in range(min(n, degree) + 1):
+            rest = degree - r
+            if rest % 2:
+                continue
+            exps = list(map(tuple, _exponents(rest // 2, n).tolist()))
+            for ext in combinations(range(1, n + 1), r):
+                mons += [Monomial(ext, m) for m in exps]
+    mons.sort(key=term_key)
+    return tuple(mons)
 
 
 def rand_poly(ring: Ring, rng: random.Random, poly_degree: int) -> Element:
@@ -472,33 +493,36 @@ def reference_ess_by_rank(ring: Ring, d: int) -> dict[int, np.ndarray]:
     """Reference for ess_basis_by_rank: for each exterior rank, one restrict
     image of a one-term element per (basis monomial, subgroup), joined by
     kernel_of_map, in the coordinates of the whole degree."""
-    basis = monomial_basis(ring, d)
+    basis = reference_monomial_basis(ring, d)
     subs = maximal_subgroups(ring)
     by_rank = {}
-    for r, run in groupby(basis.monomials, key=lambda mon: len(mon.ext)):
+    start = 0
+    for r, run in groupby(basis, key=lambda mon: len(mon.ext)):
         mons = tuple(run)
         gens = [ring.monomial(mon.ext, mon.pows) for mon in mons]
-        kernel = kernel_of_map(
-            DegreeBasis(ring, d, mons), *([restrict(y, H) for y in gens] for H in subs)
-        )
+        kernel = kernel_of_map(monomial_basis(ring, d), *([restrict(y, H) for y in gens]
+                                                          for H in subs), rank=r)
         rows = np.zeros((kernel.dim, len(basis)), dtype=np.int64)
-        start = basis.index_of(mons[0])
         rows[:, start:start + len(mons)] = kernel.rows
         by_rank[r] = rows
+        start += len(mons)
     return by_rank
 
 
-def kernel_of_map(domain: DegreeBasis, *maps) -> DegreeSpan:
-    """Joint kernel of linear maps on one graded piece, in domain coordinates.
+def kernel_of_map(domain: DegreeBasis, *maps, rank=None) -> DegreeSpan:
+    """Joint kernel of linear maps on one graded piece, in domain coordinates,
+    or on the run of one exterior rank of it when a rank is given.
 
-    Each map is given by the images of domain.monomials, in order.  The
-    matrix has one row per (map, codomain monomial) pair that occurs in
-    some image, so no codomain basis is enumerated; with no nonzero image
-    the kernel is the whole domain."""
+    Each map is given by the images of domain.monomials (of that run), in
+    order.  The matrix has one row per (map, codomain monomial) pair that
+    occurs in some image, so no codomain basis is enumerated; with no
+    nonzero image the kernel is the whole domain."""
+    run = slice(0, len(domain)) if rank is None else domain.run(rank)
+    width = run.stop - run.start
     rows: dict = {}
     pairs, cols, vals = [], [], []
     for k, images in enumerate(maps):
-        if len(images) != len(domain):
+        if len(images) != width:
             raise ValueError("one image per domain monomial required")
         for i, y in enumerate(images):
             for mon, c in y.terms.items():
@@ -507,7 +531,7 @@ def kernel_of_map(domain: DegreeBasis, *maps) -> DegreeSpan:
                 vals.append(c)
     triples = (np.array(t, dtype=np.int64) for t in (pairs, cols, vals))
     return DegreeSpan(domain.ring.p, domain.degree,
-                      pruned_null_space(*triples, (len(rows), len(domain)), domain.ring.p))
+                      pruned_null_space(*triples, (len(rows), width), domain.ring.p))
 
 
 def reference_pruned_null_space(mat, p: int) -> np.ndarray:

@@ -5,12 +5,14 @@ import pytest
 
 from mui import Ring, basis_dimension, monomial_basis, span_of
 from mui import linalg
+from mui.algebra import _element
 from mui.essential import maximal_subgroups, restrict
-from mui.linalg import SpanBuilder, null_space, rref
+from mui.linalg import SpanBuilder, _exponent_rank, _exponents, null_space, rref
 from helpers import (
     kernel_of_map,
     rand_homogeneous,
     reference_compositions,
+    reference_monomial_basis,
     reference_null_space,
     reference_pruned_null_space,
     reference_rref,
@@ -69,6 +71,62 @@ def test_basis_matches_brute_force(ring):
         assert set(map(tuple, basis.monomials)) == brute_monomials(ring, d)
         assert len(set(basis.monomials)) == len(basis)
         assert len(basis) == basis_dimension(ring, d)
+
+
+BASIS_RINGS = [Ring(3, 0), Ring(3, 1), Ring(2, 1), R32, Ring(5, 3), Ring(2, 4), Ring(3, 4),
+               Ring(3, 5)]
+
+
+@pytest.mark.parametrize("ring", BASIS_RINGS, ids=lambda ring: f"{ring.p}-{ring.n}")
+def test_basis_matches_the_enumerate_and_sort_reference(ring):
+    # the closed-form positions and the lazily built runs against every
+    # monomial enumerated and sorted by term_key
+    p, n = ring.p, ring.n
+    rng = np.random.default_rng(10 * p + n)
+    for d in range(21):
+        expected = reference_monomial_basis(ring, d)
+        basis = monomial_basis(ring, d)
+        assert basis.monomials == expected, d
+        assert len(basis) == len(expected) == basis_dimension(ring, d)
+        masks, pows = basis.arrays
+        assert masks.tolist() == [sum(1 << (i - 1) for i in m.ext) for m in expected]
+        assert pows.shape == (len(expected), n)
+        assert pows.tolist() == [list(m.pows) for m in expected]
+        assert np.array_equal(basis.positions(masks, pows), np.arange(len(expected)))
+        assert [basis.index_of(m) for m in expected] == list(range(len(expected)))
+        for r in range(n + 2):
+            run = basis.run(r)
+            assert list(range(len(expected)))[run] == [
+                i for i, m in enumerate(expected) if len(m.ext) == r], (d, r)
+            run_masks, run_pows = basis.run_arrays(r)
+            assert np.array_equal(run_masks, masks[run]), (d, r)
+            assert np.array_equal(run_pows, pows[run]), (d, r)
+        vec = rng.integers(0, p, len(expected))
+        y = _element(p, n, {tuple(m): int(c) for m, c in zip(expected, vec)})
+        assert basis.element(vec) == y
+        assert np.array_equal(basis.coords(y), vec)
+        for r, run in basis.runs.items():
+            part = _element(p, n, {tuple(m): int(c) for m, c in zip(expected[run], vec[run])})
+            assert basis.element(vec[run], r) == part, (d, r)
+            assert np.array_equal(basis.coords(part)[run], vec[run])
+
+
+def test_exponent_rank_inverts_exponents():
+    for n in range(6):
+        for k in range(31):
+            exps = _exponents(k, n)
+            assert np.array_equal(_exponent_rank(exps), np.arange(len(exps))), (n, k)
+
+
+def test_coords_and_span_of_refuse_an_element_of_another_ring():
+    with pytest.raises(ValueError, match="different rings"):
+        monomial_basis(R32, 2).coords(Ring(5, 2).x(1) * 4)
+    with pytest.raises(ValueError, match="different rings"):
+        monomial_basis(R32, 2).coords(Ring(3, 3).x(1))
+    with pytest.raises(ValueError, match="different rings"):
+        span_of(R32, 2, [Ring(7, 2).x(1) * 3])
+    with pytest.raises(ValueError, match="does not live in degree 2"):
+        monomial_basis(R32, 2).coords(R32.x(1) * R32.x(2))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

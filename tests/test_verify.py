@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mui import CLAIMS, ConfigError, Ring, claim_ids, essential, run_all, run_claim
+from mui import CLAIMS, ConfigError, Ring, claim_ids, monomial_basis, run_all, run_claim
 from mui.verify import _ess_squared_spans, _joint_annihilator, check_resources
 from helpers import reference_ess_squared_spans, reference_joint_annihilator
 
@@ -107,7 +107,7 @@ def test_joint_annihilator_matches_reference(p, n, max_degree):
         for d in range(max_degree + 1):
             got = _joint_annihilator(ring, d, subsets)
             expected = reference_joint_annihilator(ring, d, subsets)
-            assert got.rows.dtype == np.int64
+            assert got.rows.dtype == np.uint8
             assert got == expected, (subsets, d)
 
 
@@ -188,7 +188,7 @@ def test_a_failing_decompose_fails_the_report(monkeypatch):
 
     def broken(ring, degree, rank, rows):
         # thm:free decomposes on coordinate rows, many classes per call
-        calls.extend(str(essential._run_element(ring, degree, rank, row)) for row in rows)
+        calls.extend(str(monomial_basis(ring, degree).element(row, rank)) for row in rows)
         error = RuntimeError("decomposition failed to reconstruct the input")
         return {}, [error] * len(rows)
 
