@@ -19,7 +19,7 @@ from operator import add
 
 from . import field
 from .algebra import Element, Ring, ZERO, _element, _merge_ext
-from .invariants import l_n, mui_set, product_sign
+from .invariants import mui_set, product_sign
 from .linalg import (
     DegreeSpan,
     _check_int64_prime,
@@ -33,7 +33,7 @@ from .linalg import (
     pruned_null_space,
     rref_stack,
 )
-from .steenrod import _cartan_splits
+from .steenrod import bockstein_map, power_map
 
 import numpy as np
 
@@ -474,50 +474,30 @@ def _operation_maps(ring: Ring, d: int, support: np.ndarray, max_degree: int) ->
     support[source[i]] to coefficient[i] times the monomial at basis
     position target[i].
 
-    Left multiplication by the a_i (the x_i at p = 2) is _product_map.  The
-    Bockstein sends a_E x^m to the sum over i in E of s a_(E - i) x_i x^m,
-    where a_i a_(E - i) = s a_E.  P^k on a_E x^m is a_E times the sum, over
-    the shares j of k with prod C(m_l, j_l) nonzero mod p, of that product
-    times x^(m + (p - 1) j)."""
+    Left multiplication by the a_i (the x_i at p = 2) is _product_map; the
+    Bockstein and the P^k are steenrod.bockstein_map and steenrod.power_map,
+    their targets found by DegreeBasis.positions."""
     n, p = ring.n, ring.p
     masks, pows = (a[support] for a in monomial_basis(ring, d).arrays)
+
+    def located(t, src, tgt_masks, tgt_pows, coef):
+        tgt = monomial_basis(ring, t).positions(tgt_masks, tgt_pows)
+        return t, (src, tgt, coef % p, np.zeros_like(src))
+
     found = []
     if d < max_degree:
         gens = [ring.x(i) if ring.mod2 else ring.a(i) for i in range(1, n + 1)]
         found.append((d + 1, _product_map(ring, d, masks, pows, _term_arrays(ring, *gens))))
         if not ring.mod2:
-            i, src = np.nonzero(masks >> np.arange(n)[:, None] & 1)
-            rest, at = np.unique(masks[src] ^ 1 << i, return_inverse=True)
-            sign = _signs(ring, 1 << np.arange(n), rest)[i, at] % p
-            shifted = pows[src] + np.eye(n, dtype=np.int64)[i]
-            tgt = monomial_basis(ring, d + 1).positions(rest[at], shifted)
-            found.append((d + 1, (src, tgt, sign, np.zeros_like(src))))
+            found.append(located(d + 1, *bockstein_map(masks, pows)))
     step = 1 if ring.mod2 else 2 * (p - 1)
     k = 1
     while d + k * step <= max_degree:
         # instability: P^k vanishes below degree 2k, Sq^k below degree k
         if k <= (d if ring.mod2 else d // 2):
-            t = d + k * step
-            rows, shifted, coef = _power_map(pows, k, p)
-            found.append((t, (rows, monomial_basis(ring, t).positions(masks[rows], shifted), coef,
-                              np.zeros_like(rows))))
+            found.append(located(d + k * step, *power_map(k, masks, pows, p)))
         k *= p
     return found
-
-
-def _power_map(pows: np.ndarray, k: int, p: int):
-    """(row, exponents, coefficient) of each term of P^k on the monomials
-    x^m given by the rows of pows, one per Cartan split j of k with nonzero
-    coefficient, with exponents m + (p - 1) j."""
-    rows, shares, coefs = [], [], []
-    for row, m in enumerate(map(tuple, pows.tolist())):
-        for coef, share in _cartan_splits(m, k, p):
-            rows.append(row)
-            shares.append(share)
-            coefs.append(coef)
-    rows = np.array(rows, dtype=np.int64)
-    shares = np.array(shares, dtype=np.int64).reshape(len(rows), pows.shape[1])
-    return rows, pows[rows] + (p - 1) * shares, np.array(coefs, dtype=np.int64)
 
 
 # rows of sub times target columns imaged at once by _image_rows

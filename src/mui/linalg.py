@@ -351,9 +351,7 @@ class DegreeBasis:
         if vec.shape != masks.shape:
             raise ValueError(f"{len(vec)} coordinates for {len(masks)} monomials")
         at = np.flatnonzero(vec)
-        n = self.ring.n
-        return _element(self.ring.p, n, {(_exterior(m, n), tuple(e)): c for m, e, c in zip(
-            masks[at].tolist(), pows[at].tolist(), vec[at].tolist())})
+        return _from_term_arrays(self.ring, masks[at], pows[at], vec[at])
 
     def elements(self, mat: np.ndarray) -> list[Element]:
         return [self.element(row) for row in mat]
@@ -374,6 +372,17 @@ def _term_arrays(ring: Ring, *elements: Element) -> tuple:
     table = np.array([(k, bits[ext], c, *exps) for k, ext, exps, c in terms],
                      dtype=np.int64).reshape(-1, 3 + ring.n)
     return table[:, 0], table[:, 1], table[:, 3:], table[:, 2]
+
+
+def _from_term_arrays(ring: Ring, masks: np.ndarray, pows: np.ndarray, coef) -> Element:
+    """The element sum_i coef[i] a_E x^pows[i], E the bitmask masks[i]: the
+    inverse of _term_arrays, repeated monomials summed."""
+    exts = {m: _exterior(m, ring.n) for m in set(masks.tolist())}
+    acc: dict = {}
+    for m, e, c in zip(masks.tolist(), map(tuple, pows.tolist()), coef.tolist()):
+        key = (exts[m], e)
+        acc[key] = acc.get(key, 0) + c
+    return _element(ring.p, ring.n, acc)
 
 
 @lru_cache(maxsize=None)

@@ -1,18 +1,22 @@
-"""Steenrod operations computed termwise.
-
-The Bockstein is the signed derivation with beta(a_i) = x_i, beta(x_i) = 0.
-The power operation P^k (Sq^k at p = 2) distributes over a monomial by the
-Cartan rule: exterior factors pass through untouched and each polynomial
-factor x^m contributes C(m, j) x^{m + j(p-1)} for its share j of k.
+"""The Steenrod action, stated once: the Bockstein and P^k (Sq^k at p = 2)
+as maps on runs of monomials a_E x^m, given as exterior bitmasks and
+exponent rows, returning the terms of the images as (source, target
+bitmask, target exponents, coefficient) arrays.  P^k comes from the total
+power, a ring map: P(a_E x^m) = a_E x^m prod_i (1 + x_i^(p - 1))^(m_i)
+(Steenrod and Epstein, Cohomology Operations, 1962, ch. VI), read from one
+table of C(m, j) mod p.  power_op and bockstein run the maps on the terms
+of an element, the Steenrod closure on the columns of a graded piece.
 """
 
 from __future__ import annotations
 
-import math
 import re
-from functools import lru_cache
 
-from .algebra import Element, ParseError, _element
+import numpy as np
+
+from . import field
+from .algebra import Element, ParseError, Ring
+from .linalg import _check_int64_prime, _from_term_arrays, _term_arrays
 
 # An operation word is a tuple of ops, composition order left to right,
 # applied rightmost first.  Ops are ("b",), ("P", k) or ("Sq", k).
@@ -20,21 +24,67 @@ Op = tuple
 Word = tuple
 
 
+def bockstein_map(masks: np.ndarray, pows: np.ndarray) -> tuple:
+    """The Bockstein on the monomials a_E x^m given by exterior bitmasks
+    (bit i - 1 for a_i) and exponent rows, as (source, target bitmask,
+    target exponents, coefficient) arrays, one entry per i in E: a_E x^m
+    goes to (-1)^#{e in E : e < i} a_(E - i) x_i x^m, in order of source,
+    then i."""
+    bits = masks[:, None] >> np.arange(pows.shape[1]) & 1
+    src, i = np.nonzero(bits)
+    below = np.cumsum(bits, axis=1)[src, i] - 1
+    tgt = pows[src]
+    tgt[np.arange(len(src)), i] += 1
+    return src, masks[src] ^ 1 << i, tgt, (-1) ** below
+
+
+def power_map(k: int, masks: np.ndarray, pows: np.ndarray, p: int) -> tuple:
+    """P^k on monomials, as the arrays of bockstein_map: one entry per share
+    vector j of sum k with nonzero coefficient prod_i C(m_i, j_i) mod p, the
+    target a_E x^(m + (p - 1) j), in order of source, then j.  The j_i are
+    chosen one variable at a time, from 0..min(m_i, rest of k) but not below
+    what the later exponents cannot take, each binomial read from one table
+    (field.binomial_mod) over the exponents m present and j <= min(m, k): the
+    cost is bounded by k, not by the exponents."""
+    _check_int64_prime(p)
+    vals = sorted(set(pows.ravel().tolist()))
+    width = min(k, vals[-1] if vals else 0) + 1
+    table = np.array([[field.binomial_mod(m, j, p) if j <= m else 0 for j in range(width)]
+                      for m in vals], dtype=np.min_scalar_type(p - 1)).reshape(-1, width)
+    rows = np.searchsorted(vals, pows)
+    # after[:, i]: the most the exponents past m_i can take
+    after = np.cumsum(pows[:, ::-1], axis=1)[:, ::-1] - pows
+    src = np.arange(len(pows))
+    rest = np.full(len(pows), k)
+    coef = np.ones(len(pows), dtype=np.int64)
+    shares = np.zeros_like(pows)
+    share = np.arange(width)
+    for i in range(pows.shape[1]):
+        binom = table[rows[src, i]]
+        least = rest - after[src, i]
+        s, j = np.nonzero((binom != 0) & (share <= rest[:, None]) & (share >= least[:, None]))
+        src, rest, coef, shares = src[s], rest[s] - j, coef[s] * binom[s, j] % p, shares[s]
+        shares[:, i] = j
+    # with no variables, only k = 0 leaves nothing over
+    done = rest == 0
+    src = src[done]
+    return src, masks[src], pows[src] + (p - 1) * shares[done], coef[done]
+
+
+def _terms(y: Element) -> tuple:
+    """(ring, bitmasks, exponent rows, coefficients) of y; p < 2^31 keeps products in int64."""
+    _check_int64_prime(y.p)
+    ring = Ring(y.p, y.n)
+    return ring, *_term_arrays(ring, y)[1:]
+
+
 def bockstein(y: Element) -> Element:
     """The Bockstein of an element (odd p; at p = 2 it is Sq^1)."""
     if y.p == 2:
         raise ValueError("the Bockstein at p = 2 is Sq^1; use power_op(1, y)")
-    acc: dict = {}
-    for (ext, pows), c in y.terms.items():
-        for j, idx in enumerate(ext):
-            sign = -1 if j % 2 else 1
-            new_ext = ext[:j] + ext[j + 1:]
-            new_pows = tuple(
-                e + 1 if i == idx else e for i, e in enumerate(pows, start=1)
-            )
-            mon = (new_ext, new_pows)
-            acc[mon] = acc.get(mon, 0) + sign * c
-    return _element(y.p, y.n, acc)
+    ring, masks, pows, coef = _terms(y)
+    src, tgt_masks, tgt_pows, sign = bockstein_map(masks, pows)
+    return _from_term_arrays(ring, tgt_masks, tgt_pows, coef[src] * sign)
 
 
 def power_op(k: int, y: Element) -> Element:
@@ -43,59 +93,9 @@ def power_op(k: int, y: Element) -> Element:
         raise ValueError("operation index must be nonnegative")
     if k == 0:
         return y
-    p = y.p
-    shift = p - 1
-    acc: dict = {}
-    for (ext, pows), c in y.terms.items():
-        for coef, split in _cartan_splits(pows, k, p):
-            new_pows = tuple(m + j * shift for m, j in zip(pows, split))
-            mon = (ext, new_pows)
-            acc[mon] = acc.get(mon, 0) + c * coef
-    return _element(y.p, y.n, acc)
-
-
-def _cartan_splits(pows: tuple[int, ...], k: int, p: int):
-    """Distributions of k over the polynomial factors with nonzero mod-p
-    multinomial coefficient, in lexicographic order of the shares, each
-    with that coefficient."""
-    n = len(pows)
-    suffix = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + pows[i]
-    shares = [_lucas_shares(m, p) for m in pows]
-    out: list[tuple[int, tuple[int, ...]]] = []
-
-    def rec(i: int, rem: int, coef: int, acc: list[int]):
-        if rem > suffix[i]:
-            return
-        if i == n:
-            out.append((coef, tuple(acc)))
-            return
-        for j, b in shares[i]:
-            if j > rem:
-                break
-            acc.append(j)
-            rec(i + 1, rem - j, coef * b % p, acc)
-            acc.pop()
-
-    rec(0, k, 1, [])
-    return out
-
-
-@lru_cache(maxsize=None)
-def _lucas_shares(m: int, p: int) -> tuple[tuple[int, int], ...]:
-    """The shares j of x^m with C(m, j) nonzero mod p, ascending, with
-    C(m, j) mod p.  By Lucas' theorem these are the j whose base-p digits
-    are at most those of m, and C(m, j) is the product of the digitwise
-    binomials."""
-    digits = []
-    while m:
-        m, d = divmod(m, p)
-        digits.append(d)
-    out = [(0, 1)]
-    for d in reversed(digits):
-        out = [(j * p + e, c * math.comb(d, e) % p) for j, c in out for e in range(d + 1)]
-    return tuple(out)
+    ring, masks, pows, coef = _terms(y)
+    src, tgt_masks, tgt_pows, c = power_map(k, masks, pows, y.p)
+    return _from_term_arrays(ring, tgt_masks, tgt_pows, coef[src] * c)
 
 
 def apply_op(op: Op, y: Element) -> Element:

@@ -97,30 +97,40 @@ def check_resources(ring: Ring, max_degree: int) -> None:
         )
 
 
-# Cells of the dependency tables of the triangular solves of one
-# decompose: 10^7 int64 cells are 80 MB.
-MAX_DECOMPOSE_CELLS = 10**7
+# The price of a decompose in bytes: per numerator column, one byte of
+# product-map output and three int64 copies (solve, residual, reduction);
+# per solve cell, the n-wide shifted exponents of _division_levels twice over
+# and about eight int64 temporaries.  Max RSS grew by less than the price in
+# every case measured at (3,3), (3,4), (5,4) and (3,5), so an accepted
+# decompose grows it by at most MAX_DECOMPOSE_BYTES (the top class at (3,5):
+# 241 MB priced, 223 MB measured).
+MAX_DECOMPOSE_BYTES = 512 * 2**20
 
 
 def check_decompose(ring: Ring, y: Element) -> None:
-    """Refuse an element of odd p whose decomposition would be too large,
-    before anything is built.  The division of each homogeneous part of
-    exterior rank r by L_n, for each S with |S| = r, solves for one
-    unknown per exponent vector of the degree of f_S, each reading the
-    n! - 1 other terms of L_n: C(k_S + n - 1, n - 1) * n! cells.  At p = 2
-    decompose refuses every element by itself."""
+    """Refuse an element of odd p whose decomposition would pass
+    MAX_DECOMPOSE_BYTES, before anything is built.  For each homogeneous
+    part of exterior rank r and each S with |S| = r, the numerator y M_T has
+    C(k_S + D + n - 1, n - 1) columns, D = (p^n - 1)/(p - 1) = deg L_n / 2,
+    and its division by L_n solves for one unknown per exponent vector of
+    degree k_S, each reading the n! - 1 other terms of L_n:
+    C(k_S + n - 1, n - 1) * n! cells.  decompose itself refuses p = 2."""
     if ring.mod2:
         return
     n = ring.n
-    cells = 0
+    top = (ring.p**n - 1) // (ring.p - 1)
+    columns = cells = 0
     for rank, degree in {(len(ext), monomial_degree(ext, pows, ring.p)) for ext, pows in y.terms}:
         for subset in combinations(range(1, n + 1), rank):
             k = _quotient_degree(ring, degree, subset)
+            columns += math.comb(k + top + n - 1, n - 1)
             if k >= 0:
                 cells += math.comb(k + n - 1, n - 1) * math.factorial(n)
-    if cells > MAX_DECOMPOSE_CELLS:
-        raise ConfigError(f"decomposing this element at p={ring.p}, n={n} takes {cells} "
-                          f"cells of triangular solve (cap {MAX_DECOMPOSE_CELLS})")
+    price = 26 * columns + (16 * n + 64) * cells
+    if price > MAX_DECOMPOSE_BYTES:
+        raise ConfigError(f"decomposing this element at p={ring.p}, n={n} needs about "
+                          f"{-(-price // 2**20)} MB for {columns} numerator columns and {cells} "
+                          f"cells of triangular solve (cap {MAX_DECOMPOSE_BYTES // 2**20} MB)")
 
 
 @dataclass

@@ -36,7 +36,6 @@ from mui.linalg import (
     span_of,
     zero_span,
 )
-from mui.steenrod import bockstein, power_op
 
 
 def rand_element(ring: Ring, rng: random.Random, max_terms: int = 4,
@@ -586,8 +585,10 @@ def reference_ess_squared_spans(ring: Ring, d: int) -> tuple[DegreeSpan, DegreeS
 
 
 def reference_cartan_splits(pows: tuple[int, ...], k: int, p: int):
-    """Reference for steenrod._cartan_splits: try every share j of each
-    factor and drop those whose binomial C(m, j) vanishes mod p."""
+    """Reference for the shares of steenrod.power_map: the (coefficient,
+    share vector) pairs of P^k on x^pows in lexicographic order, trying
+    every share j of each factor and dropping those whose binomial C(m, j)
+    vanishes mod p."""
     n = len(pows)
     suffix = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
@@ -610,6 +611,41 @@ def reference_cartan_splits(pows: tuple[int, ...], k: int, p: int):
 
     rec(0, k, 1, [])
     return out
+
+
+def reference_bockstein(y: Element) -> Element:
+    """Reference for steenrod.bockstein, term by term over the dict: a_E x^m
+    goes to the sum over the j-th index i of E of (-1)^j a_(E - i) x_i x^m."""
+    if y.p == 2:
+        raise ValueError("the Bockstein at p = 2 is Sq^1; use power_op(1, y)")
+    acc: dict = {}
+    for (ext, pows), c in y.terms.items():
+        for j, idx in enumerate(ext):
+            sign = -1 if j % 2 else 1
+            new_ext = ext[:j] + ext[j + 1:]
+            new_pows = tuple(
+                e + 1 if i == idx else e for i, e in enumerate(pows, start=1)
+            )
+            mon = (new_ext, new_pows)
+            acc[mon] = acc.get(mon, 0) + sign * c
+    return _element(y.p, y.n, acc)
+
+
+def reference_power_op(k: int, y: Element) -> Element:
+    """Reference for steenrod.power_op, term by term over the dict by the
+    Cartan rule: a_E x^m goes to the sum over the splits j of k of
+    prod C(m_i, j_i) a_E x^(m + (p - 1) j), from reference_cartan_splits."""
+    if k < 0:
+        raise ValueError("operation index must be nonnegative")
+    if k == 0:
+        return y
+    p = y.p
+    acc: dict = {}
+    for (ext, pows), c in y.terms.items():
+        for coef, split in reference_cartan_splits(pows, k, p):
+            mon = (ext, tuple(m + j * (p - 1) for m, j in zip(pows, split)))
+            acc[mon] = acc.get(mon, 0) + c * coef
+    return _element(y.p, y.n, acc)
 
 
 def reference_steenrod_closure(seed: Element, max_degree: int) -> dict[int, DegreeSpan]:
@@ -655,12 +691,12 @@ def reference_steenrod_closure(seed: Element, max_degree: int) -> dict[int, Degr
                 insert(g * el)
             if not ring.mod2:
                 if d + 1 <= max_degree:
-                    insert(bockstein(el))
+                    insert(reference_bockstein(el))
                 top = (max_degree - d) // (2 * (p - 1))
             else:
                 top = max_degree - d
             for k in range(1, top + 1):
-                insert(power_op(k, el))
+                insert(reference_power_op(k, el))
     return {
         d: builders[d].to_span(d)
         if d in builders

@@ -133,24 +133,28 @@ def test_degree_free_verbs_are_bounded_by_the_degree_they_build(capsys):
 
 
 def test_decompose_is_priced_before_it_builds(capsys, monkeypatch):
-    """decompose refuses an element whose triangular solves would pass the
-    cell cap of mui.verify, before building anything: the top class at
-    (3,5) near degree 200 solves for C(101, 4) unknowns, each reading the
-    other 119 terms of L_5."""
+    """decompose refuses an element whose numerator rows and triangular
+    solves would pass the byte cap of mui.verify, before building anything:
+    the top class at (3,5) near degree 200 solves for C(101, 4) unknowns,
+    each reading the other 119 terms of L_5; times x1^35 it solves for
+    C(39, 4), but its numerator row has C(160, 4) columns, and it peaked at
+    1,097 MB max RSS under the cell count alone."""
     args = ("--p", "3", "--n", "5")
-    # the top class itself is cheap: one unknown
+    # the top class itself takes one unknown and a numerator of C(125, 4) columns
     assert run_cli(capsys, "decompose", "a1*a2*a3*a4*a5", *args) == (0, "S={1,2,3,4,5}: 1\n", "")
 
     def refuse(*args):
         raise AssertionError("decompose ran on a refused element")
 
     monkeypatch.setattr(cli, "decompose", refuse)
-    with time_limit(5):
-        code, out, err = run_cli(capsys, "decompose", "a1*a2*a3*a4*a5*x1^97", *args)
-    cells = 4_082_925 * 120
-    assert (code, out) == (2, "")
-    assert err == (f"error: decomposing this element at p=3, n=5 takes {cells} cells of "
-                   "triangular solve (cap 10000000)\n")
+    for k, columns, cells in ((97, 98_491_965, 4_082_925 * 120), (35, 26_294_360, 82_251 * 120)):
+        with time_limit(5):
+            code, out, err = run_cli(capsys, "decompose", f"a1*a2*a3*a4*a5*x1^{k}", *args)
+        mb = -(-(26 * columns + 144 * cells) // 2**20)
+        assert (code, out) == (2, "")
+        assert err == (f"error: decomposing this element at p=3, n=5 needs about {mb} MB for "
+                       f"{columns} numerator columns and {cells} cells of triangular solve "
+                       "(cap 512 MB)\n")
 
 
 def test_closure_command(capsys):

@@ -4,10 +4,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mui import ParseError, Ring, apply_word, bockstein, format_word, parse_word, power_op
-from helpers import elements, rand_element, rand_homogeneous
+from helpers import (
+    elements, rand_element, rand_homogeneous, reference_bockstein, reference_power_op, time_limit,
+)
 
 R32 = Ring(3, 2)
 R22 = Ring(2, 2)
+R53 = Ring(5, 3)
 
 
 def test_bockstein_on_generators():
@@ -123,3 +126,26 @@ def test_mod2_squares():
         sq = power_op(1, y)
         if sq:
             assert sq.total_degree() == d + 1   # Sq^k raises degree by k
+
+
+def test_power_cost_is_bounded_by_k_not_by_the_exponent():
+    # only the shares j <= k are read, whatever the exponent
+    with time_limit(5):
+        big = Ring(65537, 1)
+        assert power_op(1, big.monomial((), (20000,))) == big.monomial((), (85536,), 20000)
+        R31 = Ring(3, 1)
+        assert power_op(1, R31.monomial((), (10**6,))) == R31.monomial((), (10**6 + 2,))
+
+
+@pytest.mark.parametrize("ring", [R22, Ring(2, 3), R32, Ring(3, 3), Ring(5, 2), R53])
+@given(data=st.data())
+def test_operations_match_the_termwise_reference(ring, data):
+    # elements() draws zero and inhomogeneous elements too
+    y = data.draw(elements(ring, max_terms=5, max_exp=6))
+    k = data.draw(st.integers(min_value=0, max_value=8))
+    assert power_op(k, y) == reference_power_op(k, y)
+    if ring.mod2:
+        with pytest.raises(ValueError):
+            bockstein(y)
+    else:
+        assert bockstein(y) == reference_bockstein(y)
