@@ -12,11 +12,11 @@ import json
 import sys
 
 from .algebra import Element, Ring, monomial_degree
-from .essential import MaximalSubgroup, decompose, ess_basis, restrict, steenrod_closure
+from .essential import ConfigError, MaximalSubgroup, decompose, ess_basis, restrict, steenrod_closure
 from .invariants import dickson, dickson_degree, l_n, mui_set, subset_degree
 from .linalg import monomial_basis
 from .steenrod import apply_word, parse_word, word_degree
-from .verify import ConfigError, check_decompose, check_degree, check_resources, run_all
+from .verify import check_degree, check_resources, run_all
 
 
 def _ring(args, max_degree: int = 0) -> Ring:
@@ -150,9 +150,8 @@ def _cmd_decompose(args) -> int:
     y = ring.parse(args.element)
     # bounded by the input alone: deg y + deg M_T >= deg L_n + n for every
     # essential y, so a bound on the product degree would refuse them all
-    # wherever L_n is large
+    # wherever L_n is large; decompose prices itself before it builds anything
     _check_degree(ring, y)
-    check_decompose(ring, y)
     parts = decompose(y)
     if args.json:
         print(

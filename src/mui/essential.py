@@ -4,21 +4,22 @@ A maximal subgroup is the kernel of a nonzero linear form normalized to
 leading coefficient 1, one per point of the projective space of the dual.
 Restriction is the algebra map that kills the form: the linear substitution
 x_pivot -> -sum_{i > pivot} form_i x_i (a_pivot likewise) at the form's
-leading coordinate, the other generators renumbered in order.
-The essential classes of one degree are the joint kernel of all
-restrictions, computed with exact linear algebra one exterior rank at a time.
+leading coordinate, the other generators renumbered in order, stated once
+as restriction_map on runs of monomials.  The essential classes of one
+degree are the joint kernel of all restrictions, computed with exact linear
+algebra one exterior rank at a time.
 """
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations, product
-from operator import add
+from itertools import accumulate, combinations, product
 
 from . import field
-from .algebra import Element, Ring, ZERO, _element, _merge_ext
+from .algebra import Element, Ring, ZERO, _merge_ext
 from .invariants import mui_set, product_sign
 from .linalg import (
     DegreeSpan,
@@ -26,6 +27,7 @@ from .linalg import (
     _exponent_rank,
     _exponents,
     _exterior,
+    _from_term_arrays,
     _read_only,
     _term_arrays,
     basis_dimension,
@@ -74,12 +76,6 @@ class MaximalSubgroup:
         """The leading coordinate of the form, eliminated by restriction."""
         return next(i for i, c in enumerate(self.form) if c)
 
-    @cached_property
-    def _images(self) -> tuple[dict, dict]:
-        """Caches of _pivot_power keyed by e and of _exterior_image keyed by
-        E, filled on demand."""
-        return {}, {}
-
 
 @lru_cache(maxsize=None)
 def maximal_subgroups(ring: Ring) -> tuple[MaximalSubgroup, ...]:
@@ -89,67 +85,104 @@ def maximal_subgroups(ring: Ring) -> tuple[MaximalSubgroup, ...]:
     return tuple(MaximalSubgroup(ring, form) for form in projective_forms(ring.p, ring.n))
 
 
-def _generator_image(H: MaximalSubgroup, i: int, gen) -> Element:
-    """Image of generator i + 1 under restriction; gen is the subring's x or
-    a.  The pivot goes to -sum_{t > pivot} form_t gen_t, the others are
-    renumbered in order."""
-    j = H.pivot
-    if i != j:
-        return gen(i + 1 if i < j else i)
-    out = H.subring.zero()
-    for t in range(j + 1, H.ring.n):
-        if H.form[t]:
-            out = out + gen(t) * -H.form[t]
-    return out
+@lru_cache(maxsize=None)
+def _exterior_table(H: MaximalSubgroup) -> tuple:
+    """The image under restriction to H of every a_E, by bitmask E (bit
+    i - 1 for a_i; mask 0 alone at p = 2), as read-only (first term, term
+    count, target bitmasks, coefficients) arrays, a_E's terms consecutive.
+    With j the pivot, a_j goes to -sum_{t > j} form_t a_t, each a_t moving
+    past the #{e in E : j < e < t} factors between; then the bits above j
+    move down by one."""
+    n, j, p = H.ring.n, H.pivot, H.ring.p
+    masks = np.arange(1 if H.ring.mod2 else 1 << n)[:, None]
+    # column t is the term with a_j sent to a_t, column j the renumbering
+    cols = np.arange(n)
+    bits = masks >> cols & 1
+    has_j = bits[:, j:j + 1]
+    # the factors between a_j and a_t
+    between = np.cumsum(bits, axis=1) - bits - bits[:, :j + 1].sum(axis=1, keepdims=True)
+    coef = np.where(cols > j, has_j * (1 - bits) * -np.array(H.form) * (1 - 2 * (between & 1)),
+                    (cols == j) * (1 - has_j)) % p
+    mask, col = np.nonzero(coef)
+    moved = np.where(cols > j, masks & ~(1 << j) | 1 << cols, masks)[mask, col]
+    count = np.bincount(mask, minlength=len(masks))
+    return _read_only(np.cumsum(count) - count, count,
+                      moved & (1 << j) - 1 | moved >> (j + 1) << j, coef[mask, col])
 
 
-def _pivot_power(H: MaximalSubgroup, e: int) -> Element:
-    """Image of x_pivot^e, cached: for e > 1, the cached images of
-    x_pivot^(e - 1) and x_pivot multiplied."""
-    powers = H._images[0]
-    if e not in powers:
-        powers[e] = (_pivot_power(H, e - 1) * _pivot_power(H, 1) if e > 1
-                     else _generator_image(H, H.pivot, H.subring.x) ** e)
-    return powers[e]
+@lru_cache(maxsize=None)
+def _pivot_power(H: MaximalSubgroup, e: int) -> tuple[np.ndarray, np.ndarray]:
+    """The image of x_pivot^e under restriction to H, L^e with
+    L = -sum_{t > pivot} form_t x_t, as read-only (exponent rows over the
+    subring, coefficients in 1..p-1), by the base-p digits of e.
+
+    Over F_p, L^(m p + r) = (L^m)^p L^r, and (L^m)^p is L^m with its
+    exponents times p (Frobenius; c^p = c).  For r < p, L^r is the
+    multinomial expansion over the q nonzero entries of the form past the
+    pivot: each share vector s of sum r has the nonzero coefficient
+    r! / prod_t s_t! prod_t (-form_t)^(s_t).  Every share is below p, so
+    the base-p digits of an exponent give back the shares of each digit, no
+    two terms merge, and L^e has exactly prod_i C(e_i + q - 1, q - 1) terms
+    over the digits e_i of e."""
+    n, p = H.ring.n, H.ring.p
+    if e >= p:
+        (high, high_coef), (low, low_coef) = _pivot_power(H, e // p), _pivot_power(H, e % p)
+        return _read_only((p * high[:, None] + low).reshape(len(high) * len(low), n - 1),
+                          (high_coef[:, None] * low_coef).ravel() % p)
+    ts = [t for t in range(H.pivot + 1, n) if H.form[t]]
+    shares = _exponents(e, len(ts))
+    fact = list(accumulate(range(1, e + 1), lambda f, k: f * k % p, initial=1))
+    coef = np.full(len(shares), fact[e], dtype=np.int64)
+    for i, t in enumerate(ts):
+        table = [pow(-H.form[t], s, p) * pow(fact[s], -1, p) % p for s in range(e + 1)]
+        coef = coef * np.array(table, dtype=np.int64)[shares[:, i]] % p
+    pows = np.zeros((len(shares), n - 1), dtype=np.int64)
+    pows[:, [t - 1 for t in ts]] = shares
+    return _read_only(pows, coef)
 
 
-def _exterior_image(H: MaximalSubgroup, ext: tuple[int, ...]) -> tuple:
-    """Image of the exterior monomial a_ext as (index tuple, coefficient)
-    pairs, cached; the ordered product carries the Koszul signs."""
-    exteriors = H._images[1]
-    if ext not in exteriors:
-        sub = H.subring
-        img = sub.one()
-        for i in ext:
-            img = img * _generator_image(H, i - 1, sub.a)
-        exteriors[ext] = tuple((idx, c) for (idx, _), c in img.terms.items())
-    return exteriors[ext]
+def restriction_map(H: MaximalSubgroup, masks: np.ndarray, pows: np.ndarray) -> tuple:
+    """Restriction to H on the monomials a_E x^m given by exterior bitmasks
+    and exponent rows, as (source, target bitmask, target exponents,
+    coefficient) arrays over the subring, like steenrod.power_map: one entry
+    per term of each image, in order of source.  a_E x^m goes to the image
+    of a_E times x^m without its pivot exponent times the image of
+    x_pivot^(m_pivot); those terms have distinct bitmasks and distinct
+    exponents, so no (source, target) pair repeats.  Coefficients lie in
+    1..p-1."""
+    _check_int64_prime(H.ring.p)
+    j, n = H.pivot, H.ring.n
+    ext_first, ext_count, ext_masks, ext_coef = _exterior_table(H)
+    # the distinct pivot exponents, and which of them each monomial has
+    e = pows[:, j]
+    present = np.zeros(int(e.max(initial=0)) + 1, dtype=bool)
+    present[e] = True
+    which = (np.cumsum(present) - 1)[e]
+    images = [_pivot_power(H, v) for v in np.flatnonzero(present).tolist()]
+    sizes = np.array([len(c) for _, c in images], dtype=np.int64)
+    img_pows, img_coef = map(np.concatenate, zip(
+        (np.zeros((0, n - 1), dtype=np.int64), np.zeros(0, dtype=np.int64)), *images))
+    # monomial i has one entry per (exterior term, pivot term) pair, the
+    # pivot term varying fastest
+    width = sizes[which]
+    count = ext_count[masks] * width
+    src = np.repeat(np.arange(len(e)), count)
+    ends = np.cumsum(count)
+    ext, term = np.divmod(np.arange(len(src)) - np.repeat(ends - count, count), width[src])
+    ext += ext_first[masks[src]]
+    term += (np.cumsum(sizes) - sizes)[which[src]]
+    tgt_pows = np.delete(pows, j, axis=1).take(src, axis=0) + img_pows.take(term, axis=0)
+    return src, ext_masks[ext], tgt_pows, ext_coef[ext] * img_coef[term] % H.ring.p
 
 
 def restrict(y: Element, H: MaximalSubgroup) -> Element:
-    """Image of y under restriction to H, over rank n-1.
-
-    Restriction is the linear substitution x_pivot -> -sum_{i > pivot}
-    form_i x_i (a_pivot likewise), the other coordinates renumbered in
-    order.  Each term costs one shifted copy of the cached image of its
-    pivot power, times the cached image of its exterior part."""
+    """Image of y under restriction to H, over rank n-1: restriction_map on
+    the terms of y."""
     if (y.p, y.n) != (H.ring.p, H.ring.n):
         raise ValueError("element and subgroup live over different rings")
-    j = H.pivot
-    acc: dict = {}
-    get = acc.get
-    for (ext, pows), c in y.terms.items():
-        ext_img = _exterior_image(H, ext)
-        if not ext_img:
-            continue
-        kept = pows[:j] + pows[j + 1:]
-        for (_, shift), k in _pivot_power(H, pows[j]).terms.items():
-            mon = tuple(map(add, kept, shift))
-            ck = c * k
-            for idx, s in ext_img:
-                key = (idx, mon)
-                acc[key] = get(key, 0) + ck * s
-    return _element(y.p, y.n - 1, acc)
+    _, masks, pows, coef = _term_arrays(H.ring, y)
+    src, tgt_masks, tgt_pows, c = restriction_map(H, masks, pows)
+    return _from_term_arrays(H.subring, tgt_masks, tgt_pows, coef[src] * c)
 
 
 def is_essential(y: Element) -> bool:
@@ -158,67 +191,32 @@ def is_essential(y: Element) -> bool:
     return all(restrict(y, H).is_zero() for H in maximal_subgroups(ring))
 
 
-def _restriction_triples(ring: Ring, r: int, k: int) -> tuple:
-    """Restriction to every maximal subgroup on the run of rank-r monomials
-    a_E x^m with |m| = k, E-major and m in _exponents order, as the
-    (row, col, val, shape) triples of pruned_null_space: one codomain x
-    domain block per subgroup, stacked in subgroup order.
-
-    Restriction is an algebra map, so the block is the Kronecker product of
-    the exterior image matrix (columns a_E) and the polynomial image matrix
-    (columns x^m): each pair of their nonzero entries gives one entry, and
-    no position repeats.  x^m goes to its kept exponents shifted by each
-    term of the image of x_pivot^(m_pivot), all columns expanded at once,
-    and _exponent_rank finds each target among the codomain exponents.
-
-    Values are not reduced mod p.  Each is a product of two nonzero
-    residues, at most (p - 1)^2, and p is prime, so it is nonzero mod p, as
-    pruned_null_space requires."""
-    n = ring.n
-    subs = maximal_subgroups(ring)
-    exts = list(combinations(range(1, n + 1), r))
-    sub_exts = {ext: i for i, ext in enumerate(combinations(range(1, n), r))}
-    dom, cod = _exponents(k, n), _exponents(k, n - 1)
-    height = len(sub_exts) * len(cod)
-    parts = [[np.zeros(0, dtype=np.int64)] for _ in range(3)]
-    # at the top rank, or n = 1 above degree 0, every image is 0
-    for h, H in enumerate(subs if height else ()):
-        # the exterior image matrix as (row, column, value) entries
-        ext_nz = np.array([(sub_exts[idx], col, c) for col, ext in enumerate(exts)
-                           for idx, c in _exterior_image(H, ext)], dtype=np.int64).reshape(-1, 3)
-        images = [_pivot_power(H, e).terms for e in range(k + 1)]
-        sizes = np.array([len(img) for img in images])
-        coefs = np.array([c for img in images for c in img.values()], dtype=np.int64)
-        vecs = np.array([vec for img in images for _, vec in img], dtype=np.int64)
-        # one (column, term of its pivot power's image) pair per target
-        e = dom[:, H.pivot]
-        counts = sizes[e]
-        cols = np.repeat(np.arange(len(dom)), counts)
-        first = (np.cumsum(sizes) - sizes)[e] - (np.cumsum(counts) - counts)
-        terms = np.arange(len(cols)) + np.repeat(first, counts)
-        rows = _exponent_rank(np.delete(dom, H.pivot, axis=1)[cols] + vecs[terms])
-        block = (h * height + ext_nz[:, :1] * len(cod) + rows,
-                 ext_nz[:, 1:2] * len(dom) + cols, ext_nz[:, 2:] * coefs[terms])
-        for part, b in zip(parts, block):
-            part.append(b.ravel())
-    return (*map(np.concatenate, parts), (len(subs) * height, len(exts) * len(dom)))
-
-
 @lru_cache(maxsize=None)
 def _ess_data(ring: Ring, degree: int):
     """(kernel span, {exterior rank: kernel span}) of all restrictions on one
     degree, both in the coordinates of the whole degree.
 
-    Restriction preserves exterior rank, so the joint kernel is computed once
-    per rank.  Each rank is a contiguous run of the basis, and the runs come
-    in basis order, so stacking the pieces in that order is already the RREF
-    of the whole kernel."""
+    restriction_map runs once per subgroup on the whole degree, its targets
+    located by DegreeBasis.positions in the subring's basis.  Restriction
+    preserves exterior rank, so the joint kernel is computed once per rank,
+    by one pruned_null_space of the slices of the maps on that rank's run.
+    Each rank is a contiguous run of the basis, and the runs come in basis
+    order, so stacking the pieces in that order is already the RREF of the
+    whole kernel."""
     basis = monomial_basis(ring, degree)
+    cod = monomial_basis(Ring(ring.p, ring.n - 1), degree)
+    maps = []
+    for H in maximal_subgroups(ring):
+        src, tgt_masks, tgt_pows, coef = restriction_map(H, *basis.arrays)
+        maps.append((src, cod.positions(tgt_masks, tgt_pows), coef))
     by_rank: dict[int, DegreeSpan] = {}
     full = np.zeros((0, len(basis)), dtype=np.int64)
     for r, run in basis.runs.items():
-        k = degree if ring.mod2 else (degree - r) // 2
-        kernel = pruned_null_space(*_restriction_triples(ring, r, k), ring.p)
+        # the entries come in order of source, so a run is one slice of each map
+        cuts = [np.searchsorted(src, (run.start, run.stop)) for src, _, _ in maps]
+        kernel = pruned_null_space([(src[a:b] - run.start, tgt[a:b], coef[a:b])
+                                    for (src, tgt, coef), (a, b) in zip(maps, cuts)],
+                                   run.stop - run.start, ring.p)
         rows = np.zeros((len(kernel), len(basis)), dtype=np.int64)
         rows[:, run] = kernel
         by_rank[r] = DegreeSpan(ring.p, degree, rows)
@@ -236,6 +234,46 @@ def ess_basis_by_rank(ring: Ring, degree: int) -> dict[int, DegreeSpan]:
     return dict(_ess_data(ring, degree)[1])
 
 
+class ConfigError(ValueError):
+    """Raised when a configuration exceeds the resource guard."""
+
+
+# The price of a decompose in bytes: per numerator column, one byte of
+# product-map output and three int64 copies (solve, residual, reduction);
+# per solve cell, the n-wide shifted exponents of _division_levels twice over
+# and about eight int64 temporaries.  Max RSS grew by less than the price in
+# every case measured at (3,3), (3,4), (5,4) and (3,5), so an accepted
+# decompose grows it by at most MAX_DECOMPOSE_BYTES (the top class at (3,5):
+# 241 MB priced, 223 MB measured).
+MAX_DECOMPOSE_BYTES = 512 * 2**20
+
+
+def check_decompose(ring: Ring, y: Element) -> None:
+    """Refuse an element of odd p whose decomposition would pass
+    MAX_DECOMPOSE_BYTES, before anything is built.  For each homogeneous
+    part of exterior rank r and each S with |S| = r, the numerator y M_T has
+    C(k_S + D + n - 1, n - 1) columns, D = (p^n - 1)/(p - 1) = deg L_n / 2,
+    and its division by L_n solves for one unknown per exponent vector of
+    degree k_S, each reading the n! - 1 other terms of L_n:
+    C(k_S + n - 1, n - 1) * n! cells.  decompose itself refuses p = 2."""
+    if ring.mod2:
+        return
+    n = ring.n
+    top = (ring.p**n - 1) // (ring.p - 1)
+    columns = cells = 0
+    for rank, half in {(len(ext), sum(pows)) for ext, pows in y.terms}:
+        for subset in combinations(range(1, n + 1), rank):
+            k = _quotient_degree(ring, rank + 2 * half, subset)
+            columns += math.comb(k + top + n - 1, n - 1)
+            if k >= 0:
+                cells += math.comb(k + n - 1, n - 1) * math.factorial(n)
+    price = 26 * columns + (16 * n + 64) * cells
+    if price > MAX_DECOMPOSE_BYTES:
+        raise ConfigError(f"decomposing this element at p={ring.p}, n={n} needs about "
+                          f"{-(-price // 2**20)} MB for {columns} numerator columns and {cells} "
+                          f"cells of triangular solve (cap {MAX_DECOMPOSE_BYTES // 2**20} MB)")
+
+
 def decompose(y: Element) -> dict[tuple[int, ...], Element]:
     """Coordinates of an essential class over the polynomial subalgebra, in
     the basis of subset invariants of its exterior rank.
@@ -244,13 +282,15 @@ def decompose(y: Element) -> dict[tuple[int, ...], Element]:
     homogeneous part of y goes through decompose_rows as one coordinate
     row.  The returned map S -> f_S satisfies sum of f_S * M_{n,S} == y
     exactly; ValueError for an input that is not essential, RuntimeError
-    when an essential one fails to decompose.
+    when an essential one fails to decompose, and ConfigError, before
+    anything is built, for one that check_decompose prices past its cap.
     """
     ring = Ring(y.p, y.n)
     if ring.mod2:
         raise ValueError("subset-invariant decomposition needs odd p")
     if ring.n < 1:
         raise ValueError("rank must be at least 1")
+    check_decompose(ring, y)
     if y.is_zero():
         raise ValueError("cannot infer the exterior rank of zero")
     ranks = y.exterior_ranks()

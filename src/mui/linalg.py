@@ -455,27 +455,33 @@ def span_of(ring: Ring, degree: int, elements) -> DegreeSpan:
     return DegreeSpan(ring.p, degree, rref(np.array(rows), ring.p))
 
 
-def pruned_null_space(row, col, val, shape: tuple[int, int], p: int) -> np.ndarray:
-    """RREF basis of {v : mat @ v = 0 mod p}, mat of the given shape with
-    entries val at (row, col), no position twice, each nonzero mod p.  First,
-    as in structured Gaussian elimination (LaMacchia and Odlyzko, CRYPTO
-    '90), each row with one entry on the live columns forces that coordinate
-    to 0, until none is left.  The live rows and columns are then filled in
-    densely, and zero columns put back into the RREF of their kernel keep it
-    RREF."""
-    n_rows, n_cols = shape
-    live = np.ones(n_cols, dtype=bool)
-    while len(forced := col[np.bincount(row, minlength=n_rows)[row] == 1]):
+def pruned_null_space(maps, width: int, p: int) -> np.ndarray:
+    """RREF basis of the joint kernel of linear maps on F_p^width, each
+    (source, target, coefficient) arrays with no (source, target) pair twice
+    and each coefficient nonzero mod p.  Map k fills rows k * height +
+    target of one matrix, height one more than the largest target; rows no
+    entry reaches are dropped.  First, as in structured Gaussian elimination
+    (LaMacchia and Odlyzko, CRYPTO '90), each row with one entry on the live
+    columns forces that coordinate to 0, until none is left.  The live rows
+    and columns are then filled in densely, and zero columns put back into
+    the RREF of their kernel keep it RREF."""
+    maps = list(maps)
+    empty = np.zeros(0, dtype=np.int64)
+    col, row, val = (np.concatenate(parts) for parts in zip((empty,) * 3, *maps))
+    height = int(row.max(initial=-1)) + 1
+    row += np.repeat(np.arange(len(maps)) * height, [len(src) for src, _, _ in maps])
+    live = np.ones(width, dtype=bool)
+    while len(forced := col[np.bincount(row)[row] == 1]):
         live[forced] = False
         keep = live[col]
         row, col, val = row[keep], col[keep], val[keep]
-    count = np.bincount(row, minlength=n_rows)
+    count = np.bincount(row)
     sub = np.zeros((0, 0), dtype=np.int64)
     if live.any():
         mat = np.zeros(((count > 0).sum(), live.sum()), dtype=np.min_scalar_type(p - 1))
         mat[np.cumsum(count > 0)[row] - 1, np.cumsum(live)[col] - 1] = val % p
         sub = null_space(mat, p)
-    kernel = np.zeros((len(sub), n_cols), dtype=np.int64)
+    kernel = np.zeros((len(sub), width), dtype=np.int64)
     kernel[:, live] = sub
     return kernel
 

@@ -9,7 +9,6 @@ the finite range recorded in its case ids; nothing is proved beyond that.
 from __future__ import annotations
 
 import json
-import math
 import random
 import time
 from collections import defaultdict
@@ -19,8 +18,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .algebra import Element, Ring, monomial_degree
+from .algebra import Element, Ring
 from .essential import (
+    ConfigError,
     _image_rows,
     _left_product,
     _mui_terms,
@@ -53,10 +53,6 @@ from .linalg import (
     rref_stack,
 )
 from .steenrod import apply_word, bockstein, format_word, power_op
-
-
-class ConfigError(ValueError):
-    """Raised when a configuration exceeds the resource guard."""
 
 
 # lemma:eqnLn and the enumeration of maximal subgroups loop over all p^n
@@ -95,42 +91,6 @@ def check_resources(ring: Ring, max_degree: int) -> None:
             f"degree {max_degree} at p={ring.p}, n={ring.n} has a basis of "
             f"dimension {dim} (cap {MAX_BASIS_DIMENSION})"
         )
-
-
-# The price of a decompose in bytes: per numerator column, one byte of
-# product-map output and three int64 copies (solve, residual, reduction);
-# per solve cell, the n-wide shifted exponents of _division_levels twice over
-# and about eight int64 temporaries.  Max RSS grew by less than the price in
-# every case measured at (3,3), (3,4), (5,4) and (3,5), so an accepted
-# decompose grows it by at most MAX_DECOMPOSE_BYTES (the top class at (3,5):
-# 241 MB priced, 223 MB measured).
-MAX_DECOMPOSE_BYTES = 512 * 2**20
-
-
-def check_decompose(ring: Ring, y: Element) -> None:
-    """Refuse an element of odd p whose decomposition would pass
-    MAX_DECOMPOSE_BYTES, before anything is built.  For each homogeneous
-    part of exterior rank r and each S with |S| = r, the numerator y M_T has
-    C(k_S + D + n - 1, n - 1) columns, D = (p^n - 1)/(p - 1) = deg L_n / 2,
-    and its division by L_n solves for one unknown per exponent vector of
-    degree k_S, each reading the n! - 1 other terms of L_n:
-    C(k_S + n - 1, n - 1) * n! cells.  decompose itself refuses p = 2."""
-    if ring.mod2:
-        return
-    n = ring.n
-    top = (ring.p**n - 1) // (ring.p - 1)
-    columns = cells = 0
-    for rank, degree in {(len(ext), monomial_degree(ext, pows, ring.p)) for ext, pows in y.terms}:
-        for subset in combinations(range(1, n + 1), rank):
-            k = _quotient_degree(ring, degree, subset)
-            columns += math.comb(k + top + n - 1, n - 1)
-            if k >= 0:
-                cells += math.comb(k + n - 1, n - 1) * math.factorial(n)
-    price = 26 * columns + (16 * n + 64) * cells
-    if price > MAX_DECOMPOSE_BYTES:
-        raise ConfigError(f"decomposing this element at p={ring.p}, n={n} needs about "
-                          f"{-(-price // 2**20)} MB for {columns} numerator columns and {cells} "
-                          f"cells of triangular solve (cap {MAX_DECOMPOSE_BYTES // 2**20} MB)")
 
 
 @dataclass
@@ -360,23 +320,12 @@ def _joint_annihilator(ring: Ring, d: int, subsets: tuple[tuple[int, ...], ...])
     Each M_S * y is _product_map.  At odd p every monomial of degree d has
     exterior rank d mod 2, so M_S * y = (-1)^(d |S|) y * M_S: each block of
     rows changes by one sign, and the kernel is that of the right products.
-    The rows are the (S, monomial) pairs that occur, numbered for each S by
-    np.unique of the monomials' basis positions, and the matrix goes to
-    pruned_null_space as its (row, col, val) triples.  The cached span is
-    stored in the smallest dtype that holds p - 1."""
-    p, dim = ring.p, basis_dimension(ring, d)
-    rows, cols, vals = [], [], []
-    height = 0
-    for s in subsets:
-        src, tgt, coef, _ = _product_map(ring, d, *monomial_basis(ring, d).arrays,
-                                         _mui_terms(ring, s))
-        _, found = np.unique(tgt, return_inverse=True)
-        rows.append(height + found)
-        cols.append(src)
-        vals.append(coef)
-        height += int(found.max(initial=-1)) + 1
-    kernel = pruned_null_space(*map(np.concatenate, (rows, cols, vals)), (height, dim), p)
-    return DegreeSpan(p, d, kernel.astype(np.min_scalar_type(p - 1)))
+    The maps go to pruned_null_space as they are.  The cached span is stored
+    in the smallest dtype that holds p - 1."""
+    arrays = monomial_basis(ring, d).arrays
+    maps = [_product_map(ring, d, *arrays, _mui_terms(ring, s))[:3] for s in subsets]
+    kernel = pruned_null_space(maps, basis_dimension(ring, d), ring.p)
+    return DegreeSpan(ring.p, d, kernel.astype(np.min_scalar_type(ring.p - 1)))
 
 
 def _high_rank_span(ring: Ring, d: int, min_rank: int) -> DegreeSpan:

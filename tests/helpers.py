@@ -513,24 +513,22 @@ def kernel_of_map(domain: DegreeBasis, *maps, rank=None) -> DegreeSpan:
     or on the run of one exterior rank of it when a rank is given.
 
     Each map is given by the images of domain.monomials (of that run), in
-    order.  The matrix has one row per (map, codomain monomial) pair that
-    occurs in some image, so no codomain basis is enumerated; with no
-    nonzero image the kernel is the whole domain."""
+    order.  Map k goes to pruned_null_space with the codomain monomials that
+    occur in its images numbered in order of appearance, so no codomain
+    basis is enumerated; with no nonzero image the kernel is the whole
+    domain."""
     run = slice(0, len(domain)) if rank is None else domain.run(rank)
     width = run.stop - run.start
-    rows: dict = {}
-    pairs, cols, vals = [], [], []
-    for k, images in enumerate(maps):
+    triples = []
+    for images in maps:
         if len(images) != width:
             raise ValueError("one image per domain monomial required")
-        for i, y in enumerate(images):
-            for mon, c in y.terms.items():
-                pairs.append(rows.setdefault((k, mon), len(rows)))
-                cols.append(i)
-                vals.append(c)
-    triples = (np.array(t, dtype=np.int64) for t in (pairs, cols, vals))
+        found: dict = {}
+        entries = [(i, found.setdefault(mon, len(found)), c)
+                   for i, y in enumerate(images) for mon, c in y.terms.items()]
+        triples.append(np.array(entries, dtype=np.int64).reshape(-1, 3).T)
     return DegreeSpan(domain.ring.p, domain.degree,
-                      pruned_null_space(*triples, (len(rows), width), domain.ring.p))
+                      pruned_null_space(triples, width, domain.ring.p))
 
 
 def reference_pruned_null_space(mat, p: int) -> np.ndarray:

@@ -134,7 +134,7 @@ def test_degree_free_verbs_are_bounded_by_the_degree_they_build(capsys):
 
 def test_decompose_is_priced_before_it_builds(capsys, monkeypatch):
     """decompose refuses an element whose numerator rows and triangular
-    solves would pass the byte cap of mui.verify, before building anything:
+    solves would pass the byte cap of mui.essential, before building anything:
     the top class at (3,5) near degree 200 solves for C(101, 4) unknowns,
     each reading the other 119 terms of L_5; times x1^35 it solves for
     C(39, 4), but its numerator row has C(160, 4) columns, and it peaked at
@@ -146,7 +146,7 @@ def test_decompose_is_priced_before_it_builds(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("decompose ran on a refused element")
 
-    monkeypatch.setattr(cli, "decompose", refuse)
+    monkeypatch.setattr(essential, "decompose_rows", refuse)
     for k, columns, cells in ((97, 98_491_965, 4_082_925 * 120), (35, 26_294_360, 82_251 * 120)):
         with time_limit(5):
             code, out, err = run_cli(capsys, "decompose", f"a1*a2*a3*a4*a5*x1^{k}", *args)

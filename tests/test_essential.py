@@ -1,8 +1,9 @@
+import math
 import os
 import random
 import subprocess
 import sys
-from itertools import combinations, groupby, product
+from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mui import (
+    ConfigError,
     Ring,
     bockstein,
     decompose,
@@ -51,6 +53,7 @@ from helpers import (
     reference_mul,
     reference_poly_divide,
     reference_restrict,
+    time_limit,
 )
 
 R32 = Ring(3, 2)
@@ -204,37 +207,80 @@ def test_ess_by_rank_matches_per_monomial_reference(p, n, top):
     "p,n,top", [(3, 2, 9), (3, 3, 8), (5, 2, 9), (2, 3, 6), (2, 4, 5), (3, 1, 6), (2, 1, 6)]
 )
 def test_restriction_block_matches_restrict(p, n, top):
-    # column i of a subgroup's block is the image of the i-th monomial of the
-    # rank run, in the coordinates of the same run of the subring; the
-    # reference restriction pins the exterior signs both of them read
+    # restriction_map on each rank run, as _ess_data runs it: the entries of
+    # source i are the image of the i-th monomial of the run, which the
+    # reference restriction pins, exterior signs included; each lands in the
+    # run of the same rank of the subring, and the entries meet the input
+    # contract of pruned_null_space
     ring = Ring(p, n)
-    subs = maximal_subgroups(ring)
     for d in range(top + 1):
-        for r, run in groupby(monomial_basis(ring, d).monomials, key=lambda mon: len(mon.ext)):
-            mons = tuple(run)
-            k = d if ring.mod2 else (d - r) // 2
-            # the column order of the block, which _ess_data relies on
-            exps = reference_compositions(k, n)
+        basis = monomial_basis(ring, d)
+        for r, run in basis.runs.items():
+            masks, pows = basis.run_arrays(r)
+            mons = basis.monomials[run]
+            # the column order of the kernel, which _ess_data relies on
+            exps = reference_compositions(d if ring.mod2 else (d - r) // 2, n)
             assert mons == tuple(product(combinations(range(1, n + 1), r), exps))
-            rows, cols, vals, shape = essential._restriction_triples(ring, r, k)
-            # each value nonzero mod p, each position given once
-            assert (vals % p != 0).all(), (d, r)
-            assert len(np.unique(rows * shape[1] + cols)) == len(rows), (d, r)
-            mat = np.zeros(shape, dtype=np.int64)
-            mat[rows, cols] = vals
-            blocks = np.split(mat, len(subs))
-            for H, block in zip(subs, blocks):
+            for H in maximal_subgroups(ring):
                 cod = monomial_basis(H.subring, d)
-                rank_r = [i for i, m in enumerate(cod.monomials) if len(m.ext) == r]
-                assert block.shape == (len(rank_r), len(mons)), (H, d, r)
-                # entries are left unreduced; pruned_null_space reads their
-                # zero pattern, which must be that of the reduced block
-                assert np.array_equal(block != 0, block % p != 0), (H, d, r)
-                for col, mon in zip(block.T % p, mons):
+                src, tgt_masks, tgt_pows, coef = essential.restriction_map(H, masks, pows)
+                tgt = cod.positions(tgt_masks, tgt_pows)
+                # in order of source, which _ess_data slices by; each
+                # (source, target) once, each coefficient a residue, nonzero
+                assert (np.diff(src) >= 0).all(), (H, d, r)
+                assert len(np.unique(src * len(cod) + tgt)) == len(src), (H, d, r)
+                assert ((coef > 0) & (coef < p)).all(), (H, d, r)
+                assert all(cod.run(r).start <= t < cod.run(r).stop for t in tgt.tolist())
+                for i, mon in enumerate(mons):
+                    at = src == i
+                    img = linalg._from_term_arrays(H.subring, tgt_masks[at], tgt_pows[at], coef[at])
                     y = ring.monomial(mon.ext, mon.pows)
-                    img = restrict(y, H)
                     assert img == reference_restrict(y, H), (H, mon)
-                    assert np.array_equal(col, cod.coords(img)[rank_r]), (H, mon)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_pivot_power_has_one_term_per_digit_choice(p):
+    # L^e over the base-p digits e_i of e: prod_i C(e_i + q - 1, q - 1)
+    # terms, q the nonzero form entries past the pivot, none of them merged,
+    # and each equal to the reference restriction of x_pivot^e
+    for n in (2, 3, 4):
+        ring = Ring(p, n)
+        subs = maximal_subgroups(ring)
+        for H in subs[:: max(1, len(subs) // 12)]:
+            q = sum(1 for c in H.form[H.pivot + 1:] if c)
+            for e in sorted({0, 1, p - 1, p, p + 1, 2 * p - 1, p * p - 1, p * p + p + 1, 3 * p + 2}):
+                e_pows, coef = essential._pivot_power(H, e)
+                digits, rest = [], e
+                while rest:
+                    rest, digit = divmod(rest, p)
+                    digits.append(digit)
+                expected = math.prod(math.comb(digit + q - 1, q - 1) if q else int(digit == 0)
+                                     for digit in digits)
+                assert len(coef) == expected, (H, e)
+                pows = [0] * n
+                pows[H.pivot] = e
+                y = ring.monomial((), tuple(pows))
+                masks = np.zeros(len(coef), dtype=np.int64)
+                img = linalg._from_term_arrays(H.subring, masks, e_pows, coef)
+                assert len(img.terms) == len(coef), (H, e)
+                assert img == reference_restrict(y, H), (H, e)
+
+
+def test_restrict_takes_no_step_per_unit_of_the_pivot_exponent():
+    # x_pivot^e goes by the base-p digits of e, not by e - 1 products
+    H = MaximalSubgroup(R32, (1, 2))
+    with time_limit(5):
+        assert restrict(R32.monomial((), (1500, 0)), H) == H.subring.x(1) ** 1500
+    # at p = 5 with digits (4, 4, 0, 1): L^149 has 5 * 5 * 2 terms
+    ring = Ring(5, 3)
+    H = MaximalSubgroup(ring, (1, 1, 2))
+    sub = H.subring
+    y = ring.a(1) * ring.x(1) ** 149 * ring.x(3) ** 2
+    with time_limit(5):
+        img = restrict(y, H)
+    expected = -(sub.a(1) + sub.a(2) * 2) * (-(sub.x(1) + sub.x(2) * 2)) ** 149 * sub.x(2) ** 2
+    assert img == expected
+    assert len(img.terms) == 2 * 50
 
 
 @pytest.mark.parametrize("p,n", [(3, 2), (3, 3), (5, 2), (2, 3)])
@@ -362,6 +408,20 @@ def test_decompose_validates_input():
         decompose(l_n(Ring(2, 2)))
     with pytest.raises(ValueError, match="rank must be at least 1"):
         decompose(Ring(3, 0).one())
+
+
+def test_decompose_is_priced_before_it_builds(monkeypatch):
+    # M_{5,{1}} at p = 3 has degree 241; its quotients by L_5 would solve
+    # for some 35 GB of numerator columns and cells, so decompose refuses it
+    # before any product or division is built
+    def refuse(*args):
+        raise AssertionError("decompose built something for a refused element")
+
+    monkeypatch.setattr(essential, "decompose_rows", refuse)
+    y = mui_set(Ring(3, 5), (1,))
+    with time_limit(5):
+        with pytest.raises(ConfigError, match=r"needs about \d+ MB .* \(cap 512 MB\)"):
+            decompose(y)
 
 
 def free_combination(ring, rng, r, extra_gap):

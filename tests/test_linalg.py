@@ -304,7 +304,7 @@ def test_pruned_null_space_of_unreduced_products(p):
         mat = sparse_with_cascade(rng, p, n_rows, n_cols, chain)
         mat *= np.array([rng.randrange(1, p) for _ in range(mat.size)]).reshape(mat.shape)
         rows, cols = np.nonzero(mat)
-        kernel = linalg.pruned_null_space(rows, cols, mat[rows, cols], mat.shape, p)
+        kernel = linalg.pruned_null_space([(cols, rows, mat[rows, cols])], mat.shape[1], p)
         assert np.array_equal(kernel, reference_null_space(mat % p, p))
         assert np.array_equal(kernel, reference_pruned_null_space(mat, p))
 
