@@ -26,24 +26,68 @@ def _check_int64_prime(p: int) -> None:
         raise ValueError(f"p = {p} is too large for int64 elimination (need p < 2^31)")
 
 
+# rref's panels are PANEL_COLUMNS wide, or wider while under PANEL_CELLS
+PANEL_CELLS = 2**18
+PANEL_COLUMNS = 64
+# bytes of a chunk of rows of rref_stack, and of its int64 scratch in an update
+CHUNK_BYTES = 2**20
+
+
 def rref(mat: np.ndarray, p: int) -> np.ndarray:
     """Reduced row echelon form over F_p, zero rows dropped.
 
-    Any integer matrix is accepted; it is reduced mod p once.  Reduction is
-    then delayed (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008): each step
-    reduces only the pivot column and the pivot row it reads, and subtracts
-    from the hit rows without reducing them.  A step moves an entry by at
-    most (p - 1)^2, so the whole matrix is reduced only after `budget` steps,
-    before int64 could overflow, and once more on the returned rows."""
+    Any integer matrix is accepted; it is reduced mod p once into the
+    smallest dtype that holds p - 1, and stays there.  The columns go in
+    panels (Jeannerod, Pernet and Storjohann, J. Symbolic Comput. 56, 2013):
+    _eliminate clears a panel on the rows nonzero there, widened to int64.
+    Right of it, the new pivot rows are normalised by the inverse of their
+    pivot block, and matmul_mod clears every other row they hit.  A matrix
+    of at most PANEL_CELLS cells is one panel."""
     _check_int64_prime(p)
-    m = np.array(mat, dtype=np.int64)
-    m %= p
+    mat = np.asarray(mat)
+    m = np.remainder(mat, np.int64(p), out=np.empty(mat.shape, np.min_scalar_type(p - 1)),
+                     casting="unsafe")
+    n_rows, width = m.shape
+    step = max(PANEL_COLUMNS, PANEL_CELLS // max(1, n_rows))
+    free = np.ones(n_rows, dtype=bool)
+    order: list[int] = []
+    for c0 in range(0, width, step):
+        c1 = c0 + step
+        on = np.flatnonzero(m[:, c0:c1].any(axis=1))
+        # the pivot rows so far come first, so that only the others can pivot
+        old = on[~free[on]]
+        rows = np.concatenate([old, on[free[on]]])
+        block = m[rows, c0:c1].astype(np.int64)
+        pivots, perm = _eliminate(block, p, len(old))
+        rows = rows[perm]
+        new, cols = rows[len(old):len(old) + len(pivots)], c0 + pivots
+        trail = c1 + np.flatnonzero(m[new, c1:].any(axis=0))
+        if len(trail):
+            solve = np.hstack([m[np.ix_(new, cols)], np.eye(len(new), dtype=np.int64)])
+            _eliminate(solve, p)
+            lead = matmul_mod(solve[:, len(new):], m[np.ix_(new, trail)], p)
+            hit = np.setdiff1d(rows, new, assume_unique=True)
+            _subtract_products(m, hit[m[np.ix_(hit, cols)].any(axis=1)], cols, trail, lead, p)
+            m[np.ix_(new, trail)] = lead
+        m[rows, c0:c1] = block
+        free[new] = False
+        order += new.tolist()
+    return m[order].astype(np.int64)
+
+
+def _eliminate(m: np.ndarray, p: int, r: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jordan elimination in place on int64 entries in 0..p-1, rows
+    before r pivot rows already: gives the new pivot columns, whose rows
+    follow row r - 1, and perm, row i having been row perm[i].  Reduction
+    is delayed (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008): a step
+    moves an entry by at most (p - 1)^2, so the matrix is reduced only
+    every `budget` steps, before int64 could overflow, and at the end."""
     budget = max(1, (2**63 - 1 - p) // (p - 1) ** 2)
-    n_rows = len(m)
-    r = steps = 0
+    perm = np.arange(len(m))
+    pivots, steps = [], 0
     # row operations keep a zero column zero, so only the others can pivot
     for c in np.flatnonzero(m.any(axis=0)):
-        if r == n_rows:
+        if r == len(m):
             break
         col = m[:, c]
         col %= p
@@ -53,6 +97,7 @@ def rref(mat: np.ndarray, p: int) -> np.ndarray:
         pivot = r + int(below[0])
         if pivot != r:
             m[[r, pivot]] = m[[pivot, r]]
+            perm[[r, pivot]] = perm[[pivot, r]]
         row = m[r, c:]
         row %= p
         v = int(row[0])
@@ -68,10 +113,19 @@ def rref(mat: np.ndarray, p: int) -> np.ndarray:
             # row r is zero left of its pivot, so columns < c are untouched
             m[hit, c:] -= np.outer(col[hit], row)
             steps += 1
+        pivots.append(c)
         r += 1
-    out = m[:r]
-    out %= p
-    return out
+    m %= p
+    return np.array(pivots, dtype=np.int64), perm
+
+
+def _subtract_products(m: np.ndarray, rows, pivots, cols, lead: np.ndarray, p: int) -> None:
+    """m[rows, cols] -= m[rows, pivots] @ lead mod p in place, by matmul_mod
+    on chunks of rows of at most CHUNK_BYTES in int64."""
+    step = max(1, CHUNK_BYTES // (8 * max(1, len(cols))))
+    for i in range(0, len(rows), step):
+        at = rows[i:i + step, None]
+        m[at, cols] = (m[at, cols] - matmul_mod(m[at, pivots], lead, p)) % p
 
 
 def _pivots(rows: np.ndarray) -> np.ndarray:
@@ -84,9 +138,12 @@ def null_space(mat: np.ndarray, p: int) -> np.ndarray:
     """RREF basis of {v : mat @ v = 0 mod p}.  With the columns reversed,
     the kernel vector of free column f is 1 at f, 0 on the other free
     columns and on pivot columns after f; reversed back, it is already RREF.
-    rref_stack takes the reversed rows in blocks of at most twice the width."""
+    rref_stack takes the reversed rows in blocks of at most twice the width,
+    not copied when mat holds residues in the smallest dtype already."""
     mat = np.asarray(mat)
-    width, rows = mat.shape[1], mat[:, ::-1] % p
+    width, rows = mat.shape[1], mat[:, ::-1]
+    if mat.dtype != np.min_scalar_type(p - 1) or mat.max(initial=0) >= p:
+        rows = rows % p
     reduced = rref_stack([rows[i:i + 2 * width] for i in range(0, len(rows), max(1, 2 * width))],
                          p, width)
     pivots = _pivots(reduced)
@@ -116,34 +173,32 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     2^53 (p above about 9.5 * 10^7) the runs are int64 products instead,
     short enough that a run's sum plus a residue stays below 2^63.  The rows
     of a go in runs of at most GEMM_CALL_LIMIT multiply-adds per call,
-    unless one row alone is over that."""
+    unless one row alone is over that, each converted on its own."""
     _check_int64_prime(p)
     bound = (p - 1) ** 2
     if bound < FLOAT64_EXACT:
         dtype, step = np.float64, (FLOAT64_EXACT - 1) // bound
     else:
         dtype, step = np.int64, (2**63 - 1 - p) // bound
-    a = np.asarray(a, dtype=dtype)
+    a = np.asarray(a)
     b = np.asarray(b, dtype=dtype)
     out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
     for s in range(0, a.shape[1], step):
         left, right = a[:, s:s + step], b[s:s + step]
         rows = GEMM_CALL_LIMIT // max(1, right.size) or len(left)
         for i in range(0, len(left), rows):
-            out[i:i + rows] += (left[i:i + rows] @ right).astype(np.int64)
+            out[i:i + rows] += (left[i:i + rows].astype(dtype) @ right).astype(np.int64)
         out %= p
     return out
 
 
-# rows reduced per chunk in rref_stack, times the width
-STACK_CHUNK_CELLS = 2**21
-
-
 def rref_stack(blocks, p: int, width: int) -> np.ndarray:
-    """RREF of the rows of several matrices of one width, zero rows dropped.
+    """RREF of the rows of several matrices of one width with entries in
+    0..p-1, zero rows dropped.
 
     The tallest block goes through rref, unless it is in RREF already.  The
-    rows of the others follow in chunks of bounded size: a chunk is reduced
+    rows of the others follow in chunks of at most CHUNK_BYTES, in the
+    smallest dtype that holds p - 1 like the RREF so far: a chunk is reduced
     against the RREF so far by _clear, the rows that survive go through
     rref, _clear takes their pivot columns out of the RREF so far, and the
     two merge by pivot."""
@@ -151,32 +206,34 @@ def rref_stack(blocks, p: int, width: int) -> np.ndarray:
     if not blocks:
         return np.zeros((0, width), dtype=np.int64)
     top = blocks.pop()
-    top = top.astype(np.int64) if _is_rref(top) else rref(top, p)
-    if not blocks:
-        return top
-    rest = np.vstack(blocks)  # a new array, so _clear may change its chunks in place
-    step = max(1, STACK_CHUNK_CELLS // max(1, width))
-    for i in range(0, len(rest), step):
+    if not _is_rref(top):
+        top = rref(top, p)
+    if blocks:
+        stored = np.min_scalar_type(p - 1)
+        top = top.astype(stored)
+        rest = np.concatenate(blocks, dtype=stored, casting="unsafe")
+        step = max(1, CHUNK_BYTES // (rest.itemsize * width))
         pivots = _pivots(top)
-        part = _clear(rest[i:i + step].astype(np.int64, copy=False), top, pivots, p)
-        part = rref(part[part.any(axis=1)], p)
-        if len(part):
-            new = _pivots(part)
-            top = _clear(top, part, new, p)
-            top = np.vstack([top, part])[np.argsort(np.concatenate([pivots, new]))]
-    return top
+        for i in range(0, len(rest), step):
+            part = _clear(rest[i:i + step], top, pivots, p)
+            part = rref(part[part.any(axis=1)], p)
+            if len(part):
+                new = _pivots(part)
+                at = np.searchsorted(pivots, new)
+                top = np.insert(_clear(top, part, new, p), at, part, axis=0)
+                pivots = np.insert(pivots, at, new)
+    return top.astype(np.int64)
 
 
 def _clear(rows: np.ndarray, basis: np.ndarray, pivots: np.ndarray, p: int) -> np.ndarray:
     """rows minus their components along the RREF rows of basis, whose
-    pivot columns are given: v - v[pivots] @ basis, by matmul_mod.  It is
-    zero on the pivot columns and v itself where basis is zero, so only the
-    other columns are multiplied."""
+    pivot columns are given: v - v[pivots] @ basis, by _subtract_products.
+    It is zero on the pivot columns and v itself where basis is zero, so
+    only the other columns are multiplied."""
     live = basis.any(axis=0)
     live[pivots] = False
-    cols = np.flatnonzero(live)
-    rows[:, cols] -= matmul_mod(rows[:, pivots], basis[:, cols], p)
-    rows[:, cols] %= p
+    hit = np.flatnonzero(rows[:, pivots].any(axis=1))
+    _subtract_products(rows, hit, pivots, np.flatnonzero(live), basis[:, live], p)
     rows[:, pivots] = 0
     return rows
 
@@ -187,9 +244,9 @@ def _is_rref(m: np.ndarray) -> bool:
     nonzero = m != 0
     lead = nonzero.argmax(axis=1)
     return bool(
-        nonzero[np.arange(len(m)), lead].all()
+        (m[np.arange(len(m)), lead] == 1).all()
         and (np.diff(lead) > 0).all()
-        and np.array_equal(m[:, lead], np.eye(len(m), dtype=m.dtype))
+        and (nonzero.sum(axis=0)[lead] == 1).all()
     )
 
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -455,8 +456,9 @@ def test_matmul_mod_is_exact(p, monkeypatch):
 @pytest.mark.parametrize("p", [2, 3, 7, 2**31 - 1])
 def test_rref_stack_matches_rref_of_the_stack(p, monkeypatch):
     rng = np.random.default_rng(p + 1)
-    for chunk in (linalg.STACK_CHUNK_CELLS, 30):
-        monkeypatch.setattr(linalg, "STACK_CHUNK_CELLS", chunk)
+    # 240 bytes is 30 int64 cells: chunks of a row or two, and updates too
+    for chunk in (linalg.CHUNK_BYTES, 240):
+        monkeypatch.setattr(linalg, "CHUNK_BYTES", chunk)
         for _ in range(30):
             width = int(rng.integers(1, 25))
             rank = int(rng.integers(0, width + 1))
@@ -470,6 +472,59 @@ def test_rref_stack_matches_rref_of_the_stack(p, monkeypatch):
             got = linalg.rref_stack(blocks, p, width)
             assert got.dtype == np.int64
             assert np.array_equal(got, reference_rref(stacked, p))
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 2**31 - 1])
+def test_blocked_rref_matches_reference(p, monkeypatch):
+    # panels of three columns and update chunks of a row or two, so that
+    # every matrix here takes several panels, trailing updates and chunks
+    monkeypatch.setattr(linalg, "PANEL_CELLS", 1)
+    monkeypatch.setattr(linalg, "PANEL_COLUMNS", 3)
+    monkeypatch.setattr(linalg, "CHUNK_BYTES", 64)
+    rng = np.random.default_rng(p + 2)
+    for n_rows, n_cols in [(1, 1), (5, 17), (17, 5), (12, 12), (40, 9), (9, 40)]:
+        for rank in sorted({0, 1, min(n_rows, n_cols) // 2, min(n_rows, n_cols)}):
+            mat = low_rank(rng, p, n_rows, n_cols, rank)
+            mat[:, rng.integers(0, n_cols, n_cols // 3)] = 0
+            mat[rng.integers(0, n_rows, n_rows // 4)] = 0
+            for case in (mat, mat.astype(np.min_scalar_type(p - 1)), mat - 5 * p):
+                assert np.array_equal(rref(case, p), reference_rref(case, p)), (case.dtype, rank)
+
+
+def test_rref_calls_itself_only_through_private_helpers(monkeypatch):
+    # a tracer rebinds linalg.rref; a multi-panel rref must not call it back
+    real, calls = linalg.rref, []
+    monkeypatch.setattr(linalg, "rref", lambda m, p: calls.append(m.shape) or real(m, p))
+    monkeypatch.setattr(linalg, "PANEL_CELLS", 1)
+    monkeypatch.setattr(linalg, "PANEL_COLUMNS", 4)
+    mat = low_rank(np.random.default_rng(4), 3, 30, 30, 20)
+    assert np.array_equal(real(mat, 3), reference_rref(mat, 3))
+    assert calls == []
+
+
+def test_rref_keeps_a_uint8_matrix_narrow():
+    # one int64 copy of a 1,500 x 1,500 matrix is 18 MB; rref holds the
+    # uint8 matrix (2.25 MB), an int64 panel of 2^18 cells (2 MB) with the
+    # temporaries of its elimination, and update chunks of bounded size
+    rng = np.random.default_rng(5)
+    mat = (rng.integers(0, 3, (1500, 40)) @ rng.integers(0, 3, (40, 1500)) % 3).astype(np.uint8)
+    tracemalloc.start()
+    try:
+        reduced = rref(mat, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(reduced, reference_rref(mat, 3))
+    assert peak < mat.size * 8 / 2, peak
+
+
+def test_null_space_reduces_a_small_dtype_only_when_it_must():
+    rng = np.random.default_rng(6)
+    for p in (3, 7):
+        mat = rng.integers(0, 256, (40, 15)).astype(np.uint8)
+        residues = (mat % p).astype(np.uint8)
+        assert np.array_equal(null_space(mat, p), reference_null_space(residues, p))
+        assert np.array_equal(null_space(residues, p), reference_null_space(residues, p))
 
 
 def test_is_rref():
