@@ -44,9 +44,7 @@ def rref(mat: np.ndarray, p: int) -> np.ndarray:
     pivot block, and matmul_mod clears every other row they hit.  A matrix
     of at most PANEL_CELLS cells is one panel."""
     _check_int64_prime(p)
-    mat = np.asarray(mat)
-    m = np.remainder(mat, np.int64(p), out=np.empty(mat.shape, np.min_scalar_type(p - 1)),
-                     casting="unsafe")
+    m = _residues(mat, p)
     n_rows, width = m.shape
     step = max(PANEL_COLUMNS, PANEL_CELLS // max(1, n_rows))
     free = np.ones(n_rows, dtype=bool)
@@ -128,6 +126,12 @@ def _subtract_products(m: np.ndarray, rows, pivots, cols, lead: np.ndarray, p: i
         m[at, cols] = (m[at, cols] - matmul_mod(m[at, pivots], lead, p)) % p
 
 
+def _residues(mat, p: int) -> np.ndarray:
+    """mat mod p in the smallest dtype that holds p - 1, and prime p too."""
+    mat, out = np.asarray(mat), np.empty(np.shape(mat), np.min_scalar_type(p - 1))
+    return np.remainder(mat, np.result_type(mat, out).type(p), out=out, casting="unsafe")
+
+
 def _pivots(rows: np.ndarray) -> np.ndarray:
     """Column of the leading entry of each row of a matrix with no zero row."""
     row, col = np.nonzero(rows)
@@ -138,12 +142,9 @@ def null_space(mat: np.ndarray, p: int) -> np.ndarray:
     """RREF basis of {v : mat @ v = 0 mod p}.  With the columns reversed,
     the kernel vector of free column f is 1 at f, 0 on the other free
     columns and on pivot columns after f; reversed back, it is already RREF.
-    rref_stack takes the reversed rows in blocks of at most twice the width,
-    not copied when mat holds residues in the smallest dtype already."""
+    rref_stack takes the reversed rows in blocks of at most twice the width."""
     mat = np.asarray(mat)
     width, rows = mat.shape[1], mat[:, ::-1]
-    if mat.dtype != np.min_scalar_type(p - 1) or mat.max(initial=0) >= p:
-        rows = rows % p
     reduced = rref_stack([rows[i:i + 2 * width] for i in range(0, len(rows), max(1, 2 * width))],
                          p, width)
     pivots = _pivots(reduced)
@@ -193,36 +194,35 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def rref_stack(blocks, p: int, width: int) -> np.ndarray:
-    """RREF of the rows of several matrices of one width with entries in
-    0..p-1, zero rows dropped.
+    """RREF mod p of the rows of several integer matrices of one width,
+    zero rows dropped.
 
-    The tallest block goes through rref, unless it is in RREF already.  The
-    rows of the others follow in chunks of at most CHUNK_BYTES, in the
-    smallest dtype that holds p - 1 like the RREF so far: a chunk is reduced
-    against the RREF so far by _clear, the rows that survive go through
-    rref, _clear takes their pivot columns out of the RREF so far, and the
-    two merge by pivot."""
+    The tallest block goes through rref, unless it is in RREF already (and
+    stays so mod p).  The rows of the others follow in chunks of at most
+    CHUNK_BYTES once reduced mod p into the smallest dtype that holds p - 1,
+    like the RREF so far: a chunk is reduced against the RREF so far by
+    _clear, the rows that survive go through rref, _clear takes their pivot
+    columns out of the RREF so far, and the two merge by pivot."""
     blocks = sorted((b for b in blocks if b.size), key=len)
     if not blocks:
         return np.zeros((0, width), dtype=np.int64)
     top = blocks.pop()
-    if not _is_rref(top):
-        top = rref(top, p)
+    top = _residues(top, p) if _is_rref(top) else rref(top, p)
     if blocks:
         stored = np.min_scalar_type(p - 1)
-        top = top.astype(stored)
-        rest = np.concatenate(blocks, dtype=stored, casting="unsafe")
-        step = max(1, CHUNK_BYTES // (rest.itemsize * width))
+        top = top.astype(stored, copy=False)
+        rest = np.concatenate(blocks)
+        step = max(1, CHUNK_BYTES // (stored.itemsize * width))
         pivots = _pivots(top)
         for i in range(0, len(rest), step):
-            part = _clear(rest[i:i + step], top, pivots, p)
+            part = _clear(_residues(rest[i:i + step], p), top, pivots, p)
             part = rref(part[part.any(axis=1)], p)
             if len(part):
                 new = _pivots(part)
                 at = np.searchsorted(pivots, new)
                 top = np.insert(_clear(top, part, new, p), at, part, axis=0)
                 pivots = np.insert(pivots, at, new)
-    return top.astype(np.int64)
+    return top.astype(np.int64, copy=False)
 
 
 def _clear(rows: np.ndarray, basis: np.ndarray, pivots: np.ndarray, p: int) -> np.ndarray:
@@ -239,8 +239,8 @@ def _clear(rows: np.ndarray, basis: np.ndarray, pivots: np.ndarray, p: int) -> n
 
 
 def _is_rref(m: np.ndarray) -> bool:
-    """True when a matrix with entries in 0..p-1 is in RREF with no zero row:
-    leading columns strictly increasing, each a unit column."""
+    """True when an integer matrix is in RREF with no zero row: leading
+    entries 1 in strictly increasing columns, each a unit column."""
     nonzero = m != 0
     lead = nonzero.argmax(axis=1)
     return bool(

@@ -456,8 +456,9 @@ def test_matmul_mod_is_exact(p, monkeypatch):
 @pytest.mark.parametrize("p", [2, 3, 7, 2**31 - 1])
 def test_rref_stack_matches_rref_of_the_stack(p, monkeypatch):
     rng = np.random.default_rng(p + 1)
-    # 240 bytes is 30 int64 cells: chunks of a row or two, and updates too
-    for chunk in (linalg.CHUNK_BYTES, 240):
+    # 30 cells of the storage dtype: chunks of one to 30 rows, and update
+    # chunks of one row
+    for chunk in (linalg.CHUNK_BYTES, 30 * np.min_scalar_type(p - 1).itemsize):
         monkeypatch.setattr(linalg, "CHUNK_BYTES", chunk)
         for _ in range(30):
             width = int(rng.integers(1, 25))
@@ -518,13 +519,21 @@ def test_rref_keeps_a_uint8_matrix_narrow():
     assert peak < mat.size * 8 / 2, peak
 
 
-def test_null_space_reduces_a_small_dtype_only_when_it_must():
+def test_null_space_and_rref_stack_reduce_any_integers():
     rng = np.random.default_rng(6)
     for p in (3, 7):
         mat = rng.integers(0, 256, (40, 15)).astype(np.uint8)
         residues = (mat % p).astype(np.uint8)
-        assert np.array_equal(null_space(mat, p), reference_null_space(residues, p))
-        assert np.array_equal(null_space(residues, p), reference_null_space(residues, p))
+        expected = reference_null_space(residues, p)
+        for case in (mat, residues, mat.astype(np.int64) - 100 * p):
+            assert np.array_equal(null_space(case, p), expected), case.dtype
+        # an RREF block skips rref, and its entries off 0..p-1 are reduced
+        top = np.zeros((3, 8), dtype=np.int64)
+        top[:, [0, 1, 4]] = np.eye(3, dtype=np.int64)
+        top[:2, [2, 3, 7]] = [[2 + p, -1, 5], [-p, 3 * p, -4 * p - 1]]
+        for blocks in ([top], [top, mat[:2, :8].astype(np.int64) - 100 * p, mat[2:3, :8]]):
+            got = linalg.rref_stack(blocks, p, 8)
+            assert np.array_equal(got, reference_rref(np.vstack(blocks), p)), len(blocks)
 
 
 def test_is_rref():
