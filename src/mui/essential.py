@@ -22,6 +22,7 @@ from . import field
 from .algebra import Element, Ring, ZERO, _merge_ext
 from .invariants import mui_set, product_sign
 from .linalg import (
+    CHUNK_BYTES,
     DegreeSpan,
     _check_int64_prime,
     _exponent_rank,
@@ -194,34 +195,37 @@ def is_essential(y: Element) -> bool:
 @lru_cache(maxsize=None)
 def _ess_data(ring: Ring, degree: int):
     """(kernel span, {exterior rank: kernel span}) of all restrictions on one
-    degree, both in the coordinates of the whole degree.
+    degree, both in the coordinates of the whole degree, read-only.
 
     restriction_map runs once per subgroup on the whole degree, its targets
-    located by DegreeBasis.positions in the subring's basis.  Restriction
-    preserves exterior rank, so the joint kernel is computed once per rank,
-    by one pruned_null_space of the slices of the maps on that rank's run.
-    Each rank is a contiguous run of the basis, and the runs come in basis
-    order, so stacking the pieces in that order is already the RREF of the
-    whole kernel."""
+    located by DegreeBasis.positions in the subring's basis, as int32.
+    Restriction preserves exterior rank, so the joint kernel is computed
+    once per rank, by one pruned_null_space of the slices of the maps on
+    that rank's run.  Each rank is a contiguous run of the basis, and the
+    runs come in basis order, so the pieces stacked in that order are the
+    RREF of the whole kernel, and the rank spans are row slices of it."""
     basis = monomial_basis(ring, degree)
     cod = monomial_basis(Ring(ring.p, ring.n - 1), degree)
+    stored = np.min_scalar_type(ring.p - 1)
     maps = []
     for H in maximal_subgroups(ring):
         src, tgt_masks, tgt_pows, coef = restriction_map(H, *basis.arrays)
-        maps.append((src, cod.positions(tgt_masks, tgt_pows), coef))
-    by_rank: dict[int, DegreeSpan] = {}
-    full = np.zeros((0, len(basis)), dtype=np.int64)
+        maps.append((src.astype(np.int32), cod.positions(tgt_masks, tgt_pows).astype(np.int32),
+                     coef.astype(stored)))
+    kernels = []
     for r, run in basis.runs.items():
         # the entries come in order of source, so a run is one slice of each map
         cuts = [np.searchsorted(src, (run.start, run.stop)) for src, _, _ in maps]
-        kernel = pruned_null_space([(src[a:b] - run.start, tgt[a:b], coef[a:b])
-                                    for (src, tgt, coef), (a, b) in zip(maps, cuts)],
-                                   run.stop - run.start, ring.p)
-        rows = np.zeros((len(kernel), len(basis)), dtype=np.int64)
-        rows[:, run] = kernel
-        by_rank[r] = DegreeSpan(ring.p, degree, rows)
-        full = np.vstack([full, rows])
-    return DegreeSpan(ring.p, degree, full), by_rank
+        kernels.append(pruned_null_space([(src[a:b] - run.start, tgt[a:b], coef[a:b])
+                                          for (src, tgt, coef), (a, b) in zip(maps, cuts)],
+                                         run.stop - run.start, ring.p))
+    ends = list(accumulate(map(len, kernels), initial=0))
+    full = np.zeros((ends[-1], len(basis)), dtype=stored)
+    for run, kernel, at in zip(basis.runs.values(), kernels, ends):
+        full[at:at + len(kernel), run] = kernel
+    _read_only(full)
+    return DegreeSpan(ring.p, degree, full), {
+        r: DegreeSpan(ring.p, degree, full[a:b]) for r, a, b in zip(basis.runs, ends, ends[1:])}
 
 
 def ess_basis(ring: Ring, degree: int) -> DegreeSpan:
@@ -379,13 +383,14 @@ def _mui_terms(ring: Ring, subset: tuple[int, ...]) -> tuple:
 def _left_product(ring: Ring, g: tuple, rows: np.ndarray, degree: int, rank: int) -> np.ndarray:
     """g y for the classes y given as coordinate rows on the rank run of
     monomial_basis(ring, degree) and g as term arrays of one degree and
-    exterior rank, by _product_map and _apply_map: coordinate rows on the
-    run where the products land."""
+    exterior rank, by _product_map and _apply_map on the columns where some
+    row is nonzero: coordinate rows on the run where the products land."""
     t, t_rank = degree + _term_degree(ring, g), rank + bin(int(g[1][0])).count("1")
-    masks, pows = monomial_basis(ring, degree).run_arrays(rank)
+    support = np.flatnonzero(rows.any(axis=0))
+    masks, pows = (a[support] for a in monomial_basis(ring, degree).run_arrays(rank))
     src, tgt, coef, _ = _product_map(ring, degree, masks, pows, g)
     run = monomial_basis(ring, t).run(t_rank)
-    return _apply_map(rows, src, tgt - run.start, coef, run.stop - run.start, ring.p)
+    return _apply_map(rows[:, support], src, tgt - run.start, coef, run.stop - run.start, ring.p)
 
 
 @lru_cache(maxsize=None)
@@ -404,17 +409,22 @@ def _division_levels(ring: Ring, k: int) -> tuple[list, np.ndarray, np.ndarray]:
     each m + t_0 - t_j among the exponent vectors of degree k, or the extra
     index len(q) where that has a negative entry).  The coefficients of L_n
     are +-1 (a permutation expansion with distinct monomials), kept signed:
-    c_0 is its own inverse, and a level's sums stay below n! p."""
+    c_0 is its own inverse, and a level's sums stay below n! p.  The n-wide
+    exponent sums are built in chunks of at most CHUNK_BYTES."""
     n, p = ring.n, ring.p
     _, _, terms, coef = _mui_terms(ring, ())
     order = np.lexsort(terms.T[::-1])[::-1]
     terms, coef = terms[order], np.where(coef > p // 2, coef - p, coef)[order]
     quot = _exponents(k, n)
-    products = _exponent_rank(quot[:, None] + terms)
-    shifted = quot[:, None, :] + (terms[0] - terms[1:])
-    valid = (shifted >= 0).all(axis=2)
-    deps = np.full(valid.shape, len(quot), dtype=np.int64)
-    deps[valid] = _exponent_rank(shifted[valid])
+    products = np.empty((len(quot), len(terms)), dtype=np.int64)
+    deps = np.full((len(quot), len(terms) - 1), len(quot), dtype=np.int64)
+    step = max(1, CHUNK_BYTES // terms.nbytes)
+    for i in range(0, len(quot), step):
+        part = quot[i:i + step, None]
+        products[i:i + step] = _exponent_rank(part + terms)
+        shifted = part + (terms[0] - terms[1:])
+        valid = (shifted >= 0).all(axis=2)
+        deps[i:i + step][valid] = _exponent_rank(shifted[valid])
     level = np.zeros(len(quot) + 1, dtype=np.int64)
     level[-1] = -1
     while True:
@@ -473,8 +483,7 @@ def steenrod_closure(seed: Element, max_degree: int) -> dict[int, DegreeSpan]:
     go through rref_stack, which gives the span; then each generator and
     operation is applied to all of its rows at once, and the block of images
     waits at its target degree, folded there by rref_stack whenever its rows
-    outnumber the basis.  The spans, like the waiting blocks, are stored in
-    the smallest dtype that holds p - 1.
+    outnumber the basis.
     """
     ring = Ring(seed.p, seed.n)
     p = ring.p
@@ -482,14 +491,13 @@ def steenrod_closure(seed: Element, max_degree: int) -> dict[int, DegreeSpan]:
     deg = seed.total_degree()
     if not isinstance(deg, int) and deg != ZERO:
         raise ValueError("seed must be homogeneous")
-    stored = np.min_scalar_type(p - 1)
     pending: dict[int, list[np.ndarray]] = defaultdict(list)
     if isinstance(deg, int) and deg <= max_degree:
-        pending[deg].append(monomial_basis(ring, deg).coords(seed)[None].astype(stored))
+        pending[deg].append(monomial_basis(ring, deg).coords(seed)[None])
     spans = {}
     total_dim = 0
     for d in range(max_degree + 1):
-        rows = rref_stack(pending.pop(d, ()), p, basis_dimension(ring, d)).astype(stored)
+        rows = rref_stack(pending.pop(d, ()), p, basis_dimension(ring, d))
         spans[d] = DegreeSpan(p, d, rows)
         total_dim += len(rows)
         if total_dim > MAX_CLOSURE_DIMENSION:
@@ -502,7 +510,7 @@ def steenrod_closure(seed: Element, max_degree: int) -> dict[int, DegreeSpan]:
             waiting = pending[t]
             waiting += _image_rows(rows[:, support], *maps, width, p)
             if sum(map(len, waiting)) > width:
-                waiting[:] = [rref_stack(waiting, p, width).astype(stored)]
+                waiting[:] = [rref_stack(waiting, p, width)]
     return spans
 
 
@@ -605,7 +613,8 @@ def _apply_map(sub: np.ndarray, src, tgt, coef, width: int, p: int) -> np.ndarra
     first = np.flatnonzero(np.concatenate([[True], np.diff(tgt[order]) != 0]))
     rounds = np.arange(len(tgt)) - np.repeat(first, np.diff(first, append=len(tgt)))
     order = order[np.argsort(rounds, kind="stable")]
-    src, tgt, coef = src[order], tgt[order], coef[order]
+    # int64 coefficients: their products with small-dtype rows must not wrap
+    src, tgt, coef = src[order], tgt[order], coef[order].astype(np.int64)
     bounds = np.searchsorted(np.sort(rounds), np.arange(int(rounds.max()) + 2))
     budget = (2**63 - 1 - p) // (p - 1) ** 2
     step = max(1, IMAGE_CHUNK_CELLS // len(cols))

@@ -37,14 +37,16 @@ def rref(mat: np.ndarray, p: int) -> np.ndarray:
     """Reduced row echelon form over F_p, zero rows dropped.
 
     Any integer matrix is accepted; it is reduced mod p once into the
-    smallest dtype that holds p - 1, and stays there.  The columns go in
-    panels (Jeannerod, Pernet and Storjohann, J. Symbolic Comput. 56, 2013):
-    _eliminate clears a panel on the rows nonzero there, widened to int64.
-    Right of it, the new pivot rows are normalised by the inverse of their
-    pivot block, and matmul_mod clears every other row they hit.  A matrix
-    of at most PANEL_CELLS cells is one panel."""
+    storage dtype, the smallest that holds p - 1, and stays there, result
+    included.  The columns go in panels (Jeannerod, Pernet and Storjohann,
+    J. Symbolic Comput. 56, 2013): _eliminate clears a panel on the rows
+    nonzero there, widened to int32 from uint8, else to int64.  Right of
+    it, the new pivot rows are normalised by the inverse of their pivot
+    block, and matmul_mod clears every other row they hit.  A matrix of at
+    most PANEL_CELLS cells is one panel."""
     _check_int64_prime(p)
     m = _residues(mat, p)
+    wide = np.int32 if m.dtype == np.uint8 else np.int64
     n_rows, width = m.shape
     step = max(PANEL_COLUMNS, PANEL_CELLS // max(1, n_rows))
     free = np.ones(n_rows, dtype=bool)
@@ -55,13 +57,13 @@ def rref(mat: np.ndarray, p: int) -> np.ndarray:
         # the pivot rows so far come first, so that only the others can pivot
         old = on[~free[on]]
         rows = np.concatenate([old, on[free[on]]])
-        block = m[rows, c0:c1].astype(np.int64)
+        block = m[rows, c0:c1].astype(wide)
         pivots, perm = _eliminate(block, p, len(old))
         rows = rows[perm]
         new, cols = rows[len(old):len(old) + len(pivots)], c0 + pivots
         trail = c1 + np.flatnonzero(m[new, c1:].any(axis=0))
         if len(trail):
-            solve = np.hstack([m[np.ix_(new, cols)], np.eye(len(new), dtype=np.int64)])
+            solve = np.hstack([m[np.ix_(new, cols)], np.eye(len(new), dtype=wide)])
             _eliminate(solve, p)
             lead = matmul_mod(solve[:, len(new):], m[np.ix_(new, trail)], p)
             hit = np.setdiff1d(rows, new, assume_unique=True)
@@ -70,17 +72,17 @@ def rref(mat: np.ndarray, p: int) -> np.ndarray:
         m[rows, c0:c1] = block
         free[new] = False
         order += new.tolist()
-    return m[order].astype(np.int64)
+    return m[order]
 
 
 def _eliminate(m: np.ndarray, p: int, r: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Jordan elimination in place on int64 entries in 0..p-1, rows
+    """Gauss-Jordan elimination in place on signed entries in 0..p-1, rows
     before r pivot rows already: gives the new pivot columns, whose rows
     follow row r - 1, and perm, row i having been row perm[i].  Reduction
     is delayed (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008): a step
     moves an entry by at most (p - 1)^2, so the matrix is reduced only
-    every `budget` steps, before int64 could overflow, and at the end."""
-    budget = max(1, (2**63 - 1 - p) // (p - 1) ** 2)
+    every `budget` steps, before its dtype could overflow, and at the end."""
+    budget = max(1, (int(np.iinfo(m.dtype).max) - p) // (p - 1) ** 2)
     perm = np.arange(len(m))
     pivots, steps = [], 0
     # row operations keep a zero column zero, so only the others can pivot
@@ -118,16 +120,17 @@ def _eliminate(m: np.ndarray, p: int, r: int = 0) -> tuple[np.ndarray, np.ndarra
 
 
 def _subtract_products(m: np.ndarray, rows, pivots, cols, lead: np.ndarray, p: int) -> None:
-    """m[rows, cols] -= m[rows, pivots] @ lead mod p in place, by matmul_mod
-    on chunks of rows of at most CHUNK_BYTES in int64."""
-    step = max(1, CHUNK_BYTES // (8 * max(1, len(cols))))
+    """m[rows, cols] -= m[rows, pivots] @ lead mod p in place, by matmul_mod on
+    chunks of rows of at most CHUNK_BYTES (and of int64), gathered by np.take."""
+    step = max(1, CHUNK_BYTES // max(8 * len(cols), m.itemsize * m.shape[1], 1))
     for i in range(0, len(rows), step):
-        at = rows[i:i + step, None]
-        m[at, cols] = (m[at, cols] - matmul_mod(m[at, pivots], lead, p)) % p
+        part = m.take(rows[i:i + step], axis=0)
+        part[:, cols] = (part.take(cols, axis=1) - matmul_mod(part.take(pivots, axis=1), lead, p)) % p
+        m[rows[i:i + step]] = part
 
 
 def _residues(mat, p: int) -> np.ndarray:
-    """mat mod p in the smallest dtype that holds p - 1, and prime p too."""
+    """mat mod p in the storage dtype, the smallest that holds p - 1 (and p)."""
     mat, out = np.asarray(mat), np.empty(np.shape(mat), np.min_scalar_type(p - 1))
     return np.remainder(mat, np.result_type(mat, out).type(p), out=out, casting="unsafe")
 
@@ -142,7 +145,8 @@ def null_space(mat: np.ndarray, p: int) -> np.ndarray:
     """RREF basis of {v : mat @ v = 0 mod p}.  With the columns reversed,
     the kernel vector of free column f is 1 at f, 0 on the other free
     columns and on pivot columns after f; reversed back, it is already RREF.
-    rref_stack takes the reversed rows in blocks of at most twice the width."""
+    rref_stack takes the reversed rows in blocks of at most twice the width.
+    Its storage dtype is unsigned, so -x mod p is p - x there."""
     mat = np.asarray(mat)
     width, rows = mat.shape[1], mat[:, ::-1]
     reduced = rref_stack([rows[i:i + 2 * width] for i in range(0, len(rows), max(1, 2 * width))],
@@ -151,9 +155,9 @@ def null_space(mat: np.ndarray, p: int) -> np.ndarray:
     free = np.ones(width, dtype=bool)
     free[pivots] = False
     free = np.flatnonzero(free)
-    basis = np.zeros((len(free), width), dtype=np.int64)
+    basis = np.zeros((len(free), width), dtype=reduced.dtype)
     basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = -reduced[:, free].T % p
+    basis[:, pivots] = (p - reduced[:, free].T) % p
     return basis[::-1, ::-1]
 
 
@@ -195,24 +199,22 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 def rref_stack(blocks, p: int, width: int) -> np.ndarray:
     """RREF mod p of the rows of several integer matrices of one width,
-    zero rows dropped.
+    zero rows dropped, in the storage dtype.
 
     The tallest block goes through rref, unless it is in RREF already (and
     stays so mod p).  The rows of the others follow in chunks of at most
-    CHUNK_BYTES once reduced mod p into the smallest dtype that holds p - 1,
-    like the RREF so far: a chunk is reduced against the RREF so far by
-    _clear, the rows that survive go through rref, _clear takes their pivot
-    columns out of the RREF so far, and the two merge by pivot."""
+    CHUNK_BYTES once reduced mod p into the storage dtype, like the RREF so
+    far: a chunk is reduced against the RREF so far by _clear, the rows
+    that survive go through rref, _clear takes their pivot columns out of
+    the RREF so far, and the two merge by pivot."""
     blocks = sorted((b for b in blocks if b.size), key=len)
     if not blocks:
-        return np.zeros((0, width), dtype=np.int64)
+        return np.zeros((0, width), dtype=np.min_scalar_type(p - 1))
     top = blocks.pop()
     top = _residues(top, p) if _is_rref(top) else rref(top, p)
     if blocks:
-        stored = np.min_scalar_type(p - 1)
-        top = top.astype(stored, copy=False)
         rest = np.concatenate(blocks)
-        step = max(1, CHUNK_BYTES // (stored.itemsize * width))
+        step = max(1, CHUNK_BYTES // (top.itemsize * width))
         pivots = _pivots(top)
         for i in range(0, len(rest), step):
             part = _clear(_residues(rest[i:i + step], p), top, pivots, p)
@@ -222,7 +224,7 @@ def rref_stack(blocks, p: int, width: int) -> np.ndarray:
                 at = np.searchsorted(pivots, new)
                 top = np.insert(_clear(top, part, new, p), at, part, axis=0)
                 pivots = np.insert(pivots, at, new)
-    return top.astype(np.int64, copy=False)
+    return top
 
 
 def _clear(rows: np.ndarray, basis: np.ndarray, pivots: np.ndarray, p: int) -> np.ndarray:
@@ -256,7 +258,7 @@ def _reduce(vec: np.ndarray, rows, pivots, p: int) -> np.ndarray:
     for piv, row in zip(pivots, rows):
         c = v[piv]
         if c:
-            v = (v - c * row) % p
+            v = (v - c * row.astype(np.int64)) % p
     return v
 
 
@@ -279,12 +281,9 @@ class DegreeSpan:
     def __eq__(self, other):
         if not isinstance(other, DegreeSpan):
             return NotImplemented
-        return (
-            self.p == other.p
-            and self.degree == other.degree
-            and self.rows.shape == other.rows.shape
-            and np.array_equal(self.rows, other.rows)
-        )
+        # by value and shape, whatever the dtypes of the rows
+        return ((self.p, self.degree) == (other.p, other.degree)
+                and np.array_equal(self.rows, other.rows))
 
     @cached_property
     def pivots(self) -> np.ndarray:
@@ -295,10 +294,6 @@ class DegreeSpan:
 
     def __repr__(self):
         return f"DegreeSpan(p={self.p}, degree={self.degree}, dim={self.dim}/{self.ambient_dim})"
-
-
-def zero_span(p: int, degree: int, ambient_dim: int) -> DegreeSpan:
-    return DegreeSpan(p, degree, np.zeros((0, ambient_dim), dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -503,42 +498,41 @@ def span_of(ring: Ring, degree: int, elements) -> DegreeSpan:
         if y.is_zero():
             continue
         if y.total_degree() != degree:
-            raise ValueError(
-                f"element of degree {y.total_degree()} in a degree-{degree} span"
-            )
+            raise ValueError(f"element of degree {y.total_degree()} in a degree-{degree} span")
         rows.append(basis.coords(y))
-    if not rows:
-        return zero_span(ring.p, degree, len(basis))
-    return DegreeSpan(ring.p, degree, rref(np.array(rows), ring.p))
+    return DegreeSpan(ring.p, degree,
+                      rref(np.array(rows, dtype=np.int64).reshape(len(rows), len(basis)), ring.p))
 
 
 def pruned_null_space(maps, width: int, p: int) -> np.ndarray:
     """RREF basis of the joint kernel of linear maps on F_p^width, each
     (source, target, coefficient) arrays with no (source, target) pair twice
-    and each coefficient nonzero mod p.  Map k fills rows k * height +
-    target of one matrix, height one more than the largest target; rows no
-    entry reaches are dropped.  First, as in structured Gaussian elimination
-    (LaMacchia and Odlyzko, CRYPTO '90), each row with one entry on the live
-    columns forces that coordinate to 0, until none is left.  The live rows
-    and columns are then filled in densely, and zero columns put back into
-    the RREF of their kernel keep it RREF."""
-    maps = list(maps)
-    empty = np.zeros(0, dtype=np.int64)
+    and each coefficient nonzero mod p.  The arrays keep their dtypes.  Map
+    k fills rows k * height + target of one matrix, height one more than
+    the largest target (int64 if their dtype cannot hold that); rows no
+    entry reaches are dropped.  First, as in structured Gaussian elimination (LaMacchia
+    and Odlyzko, CRYPTO '90), each row with one entry on the live columns
+    forces that coordinate to 0, until none is left.  The live rows and
+    columns are then filled in densely, and zero columns put back into the
+    RREF of their kernel keep it RREF."""
+    maps, stored = list(maps), np.min_scalar_type(p - 1)
+    empty = np.zeros(0, dtype=np.uint8)
     col, row, val = (np.concatenate(parts) for parts in zip((empty,) * 3, *maps))
-    height = int(row.max(initial=-1)) + 1
-    row += np.repeat(np.arange(len(maps)) * height, [len(src) for src, _, _ in maps])
+    height = int(row.max(initial=0)) + 1
+    wide = np.int64 if len(maps) * height > np.iinfo(row.dtype).max else row.dtype
+    row = row + np.repeat(np.arange(len(maps), dtype=wide) * height, [len(src) for src, _, _ in maps])
     live = np.ones(width, dtype=bool)
     while len(forced := col[np.bincount(row)[row] == 1]):
         live[forced] = False
         keep = live[col]
         row, col, val = row[keep], col[keep], val[keep]
     count = np.bincount(row)
-    sub = np.zeros((0, 0), dtype=np.int64)
+    sub = np.zeros((0, 0), dtype=stored)
     if live.any():
-        mat = np.zeros(((count > 0).sum(), live.sum()), dtype=np.min_scalar_type(p - 1))
+        mat = np.zeros(((count > 0).sum(), live.sum()), dtype=stored)
         mat[np.cumsum(count > 0)[row] - 1, np.cumsum(live)[col] - 1] = val % p
         sub = null_space(mat, p)
-    kernel = np.zeros((len(sub), width), dtype=np.int64)
+    kernel = np.zeros((len(sub), width), dtype=stored)
     kernel[:, live] = sub
     return kernel
 
@@ -575,6 +569,5 @@ class SpanBuilder:
         return True
 
     def to_span(self, degree: int) -> DegreeSpan:
-        if not self.rows:
-            return zero_span(self.p, degree, self.ambient_dim)
-        return DegreeSpan(self.p, degree, np.array(self.rows, dtype=np.int64))
+        rows = np.array(self.rows, dtype=np.int64).reshape(len(self.rows), self.ambient_dim)
+        return DegreeSpan(self.p, degree, rows)

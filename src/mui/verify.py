@@ -320,12 +320,10 @@ def _joint_annihilator(ring: Ring, d: int, subsets: tuple[tuple[int, ...], ...])
     Each M_S * y is _product_map.  At odd p every monomial of degree d has
     exterior rank d mod 2, so M_S * y = (-1)^(d |S|) y * M_S: each block of
     rows changes by one sign, and the kernel is that of the right products.
-    The maps go to pruned_null_space as they are.  The cached span is stored
-    in the smallest dtype that holds p - 1."""
+    The maps go to pruned_null_space as they are."""
     arrays = monomial_basis(ring, d).arrays
     maps = [_product_map(ring, d, *arrays, _mui_terms(ring, s))[:3] for s in subsets]
-    kernel = pruned_null_space(maps, basis_dimension(ring, d), ring.p)
-    return DegreeSpan(ring.p, d, kernel.astype(np.min_scalar_type(ring.p - 1)))
+    return DegreeSpan(ring.p, d, pruned_null_space(maps, basis_dimension(ring, d), ring.p))
 
 
 def _high_rank_span(ring: Ring, d: int, min_rank: int) -> DegreeSpan:

@@ -34,7 +34,6 @@ from mui.linalg import (
     null_space,
     pruned_null_space,
     span_of,
-    zero_span,
 )
 
 
@@ -696,8 +695,6 @@ def reference_steenrod_closure(seed: Element, max_degree: int) -> dict[int, Degr
             for k in range(1, top + 1):
                 insert(reference_power_op(k, el))
     return {
-        d: builders[d].to_span(d)
-        if d in builders
-        else zero_span(p, d, len(monomial_basis(ring, d)))
+        d: builders.get(d, SpanBuilder(len(monomial_basis(ring, d)), p)).to_span(d)
         for d in range(max_degree + 1)
     }

@@ -3,8 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from mui import Ring, ess_basis, l_n, monomial_basis, mui, steenrod_closure
-from mui.linalg import zero_span
+from mui import Ring, ess_basis, l_n, monomial_basis, mui, span_of, steenrod_closure
 from mui.steenrod import power_map
 from mui.verify import _span_case
 from helpers import reference_cartan_splits, reference_steenrod_closure
@@ -76,7 +75,7 @@ def test_closure_spans_in_the_small_dtype_serve_every_consumer(p, n, max_degree)
         for vec in np.eye(len(basis), dtype=np.int64):
             assert span.contains_vector(vec) == expected.contains_vector(vec), (d, vec)
         if span.dim:
-            empty = zero_span(p, d, len(basis))
+            empty = span_of(ring, d, [])
             assert _span_case("c", ring, empty, span) == _span_case("c", ring, empty, expected)
 
 

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mui import Ring, basis_dimension, monomial_basis, span_of
+from mui import Ring, basis_dimension, ess_basis, monomial_basis, span_of
 from mui import linalg
 from mui.algebra import _element
 from mui.essential import maximal_subgroups, restrict
@@ -13,6 +13,7 @@ from helpers import (
     kernel_of_map,
     rand_homogeneous,
     reference_compositions,
+    reference_ess_basis,
     reference_monomial_basis,
     reference_null_space,
     reference_pruned_null_space,
@@ -471,8 +472,8 @@ def test_rref_stack_matches_rref_of_the_stack(p, monkeypatch):
             blocks = [b[b.any(axis=1)].astype(np.min_scalar_type(p - 1)) for b in blocks]
             stacked = np.vstack(blocks) if blocks else np.zeros((0, width), dtype=np.int64)
             got = linalg.rref_stack(blocks, p, width)
-            assert got.dtype == np.int64
-            assert np.array_equal(got, reference_rref(stacked, p))
+            assert got.dtype == np.min_scalar_type(p - 1)
+            assert np.array_equal(got.astype(np.int64), reference_rref(stacked, p))
 
 
 @pytest.mark.parametrize("p", [2, 3, 7, 2**31 - 1])
@@ -505,18 +506,58 @@ def test_rref_calls_itself_only_through_private_helpers(monkeypatch):
 
 def test_rref_keeps_a_uint8_matrix_narrow():
     # one int64 copy of a 1,500 x 1,500 matrix is 18 MB; rref holds the
-    # uint8 matrix (2.25 MB), an int64 panel of 2^18 cells (2 MB) with the
-    # temporaries of its elimination, and update chunks of bounded size
+    # uint8 matrix (2.25 MB), an int32 panel of 2^18 cells (1 MB) with the
+    # temporaries of its elimination, and update chunks of bounded size.
+    # The bound holds with both results kept: the RREF and the 1,460 x
+    # 1,500 kernel of null_space, both uint8 (the kernel alone is 17.5 MB
+    # as int64)
     rng = np.random.default_rng(5)
     mat = (rng.integers(0, 3, (1500, 40)) @ rng.integers(0, 3, (40, 1500)) % 3).astype(np.uint8)
     tracemalloc.start()
     try:
         reduced = rref(mat, 3)
+        kernel = null_space(mat, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert reduced.dtype == kernel.dtype == np.uint8
     assert np.array_equal(reduced, reference_rref(mat, 3))
+    # RREF rows of the kernel, as many as its dimension: its one RREF basis
+    assert kernel.shape == (mat.shape[1] - len(reduced), mat.shape[1])
+    assert linalg._is_rref(kernel) and not linalg.matmul_mod(mat, kernel.T, 3).any()
     assert peak < mat.size * 8 / 2, peak
+
+
+@pytest.mark.parametrize("p", [251, 257])
+@pytest.mark.parametrize("blocked", [False, True])
+def test_storage_dtype_results_at_primes_whose_squares_overflow_it(p, blocked, monkeypatch):
+    # (p - 1)^2 overflows the storage dtype: uint8 at 251, uint16 at 257.
+    # Every result is in that dtype and equals the int64 reference; blocked
+    # takes the panel path, with trailing updates and one-row chunks
+    if blocked:
+        monkeypatch.setattr(linalg, "PANEL_CELLS", 1)
+        monkeypatch.setattr(linalg, "PANEL_COLUMNS", 3)
+        monkeypatch.setattr(linalg, "CHUNK_BYTES", 64)
+    stored = np.min_scalar_type(p - 1)
+    rng = np.random.default_rng(p)
+    for n_rows, n_cols, rank in [(12, 9, 5), (9, 12, 9), (30, 30, 17), (40, 16, 16)]:
+        mat = low_rank(rng, p, n_rows, n_cols, rank)
+        mat[:, rng.integers(0, n_cols, n_cols // 4)] = 0
+        rows, cols = np.nonzero(mat)
+        narrow = [(cols.astype(np.int32), rows.astype(np.int32), mat[rows, cols].astype(stored))]
+        for got, expected in [
+            (rref(mat, p), reference_rref(mat, p)),
+            (linalg.rref_stack([mat[:5], mat[5:].astype(stored)], p, n_cols), reference_rref(mat, p)),
+            (null_space(mat, p), reference_null_space(mat, p)),
+            (linalg.pruned_null_space(narrow, n_cols, p), reference_pruned_null_space(mat, p)),
+        ]:
+            assert got.dtype == stored
+            assert np.array_equal(got.astype(np.int64), expected), (n_rows, n_cols, rank)
+    ring = Ring(p, 2)
+    for d in range(7):
+        got = ess_basis(ring, d).rows
+        assert got.dtype == stored
+        assert np.array_equal(got.astype(np.int64), reference_ess_basis(ring, d)), d
 
 
 def test_null_space_and_rref_stack_reduce_any_integers():
