@@ -7,7 +7,12 @@ x_pivot -> -sum_{i > pivot} form_i x_i (a_pivot likewise) at the form's
 leading coordinate, the other generators renumbered in order, stated once
 as restriction_map on runs of monomials.  The essential classes of one
 degree are the joint kernel of all restrictions, computed with exact linear
-algebra one exterior rank at a time.
+algebra one exterior rank and one torus weight at a time.  The diagonal
+torus T of GL_n(F_p) permutes the maximal subgroups and scales each
+monomial a_E x^m by the character of its weight ((eps_i + m_i) mod
+(p - 1))_i; |T| = (p - 1)^n is prime to p, so (Maschke) the GL_n-stable
+essential ideal is the direct sum of its weight parts, and on one weight
+space one subgroup per T-orbit, the 0/1 forms, gives the whole kernel.
 """
 
 from __future__ import annotations
@@ -193,32 +198,64 @@ def is_essential(y: Element) -> bool:
 
 
 @lru_cache(maxsize=None)
+def _orbit_subgroups(ring: Ring) -> tuple[MaximalSubgroup, ...]:
+    """One maximal subgroup per orbit of the diagonal torus: the forms with
+    entries in {0, 1}, 2^n - 1 of them, in the order of maximal_subgroups.
+    The torus scales each entry of a form by a unit, so an orbit is the set
+    of forms of one support, and holds one 0/1 form; at p = 2 that is every
+    subgroup."""
+    return tuple(H for H in maximal_subgroups(ring) if max(H.form) == 1)
+
+
+def _torus_weights(ring: Ring, degree: int, masks: np.ndarray, pows: np.ndarray) -> np.ndarray:
+    """The torus weight of each monomial a_E x^m of one degree given by
+    exterior bitmasks and exponent rows, ((eps_i + m_i) mod (p - 1))_i with
+    eps_i the i-th exterior bit, as one integer per monomial: the digits in
+    base min(p - 1, degree + 1), which exceeds every digit.  All 0 at p = 2."""
+    base = min(ring.p - 1, degree + 1)
+    digits = ((masks[:, None] >> np.arange(ring.n) & 1) + pows) % (ring.p - 1)
+    return digits @ base ** np.arange(ring.n, dtype=np.int64)
+
+
+@lru_cache(maxsize=None)
 def _ess_data(ring: Ring, degree: int):
     """(kernel span, {exterior rank: kernel span}) of all restrictions on one
     degree, both in the coordinates of the whole degree, read-only.
 
-    restriction_map runs once per subgroup on the whole degree, its targets
-    located by DegreeBasis.positions in the subring's basis, as int32.
-    Restriction preserves exterior rank, so the joint kernel is computed
-    once per rank, by one pruned_null_space of the slices of the maps on
-    that rank's run.  Each rank is a contiguous run of the basis, and the
-    runs come in basis order, so the pieces stacked in that order are the
-    RREF of the whole kernel, and the rank spans are row slices of it."""
+    The joint kernel is GL_n-stable, so stable under the diagonal torus T,
+    which acts on a_E x^m by the character of its weight (_torus_weights).
+    T has order (p - 1)^n, prime to p, so the kernel is the direct sum of
+    its parts on the weight spaces (Maschke).  For t in T and y of one
+    weight, t^* y is a nonzero multiple of y, so res_(tH) y = 0 exactly
+    when res_H y = 0: on a weight space the kernel over one subgroup per
+    T-orbit, _orbit_subgroups, is the whole joint kernel.
+    restriction_map runs once per such subgroup on the whole
+    degree, its targets located by DegreeBasis.positions in the subring's
+    basis, as int32.  Restriction preserves exterior rank, so the joint
+    kernel is computed once per rank, by one pruned_null_space of the slices
+    of the maps on that rank's run, its columns classed by weight; at p = 2
+    there is one weight and every subgroup is taken.  Each rank is a
+    contiguous run of the basis, and the runs come in basis order, so the
+    pieces stacked in that order are the RREF of the whole kernel, and the
+    rank spans are row slices of it."""
     basis = monomial_basis(ring, degree)
     cod = monomial_basis(Ring(ring.p, ring.n - 1), degree)
     stored = np.min_scalar_type(ring.p - 1)
     maps = []
-    for H in maximal_subgroups(ring):
+    for H in _orbit_subgroups(ring):
         src, tgt_masks, tgt_pows, coef = restriction_map(H, *basis.arrays)
         maps.append((src.astype(np.int32), cod.positions(tgt_masks, tgt_pows).astype(np.int32),
                      coef.astype(stored)))
+    weights = _torus_weights(ring, degree, *basis.arrays)
     kernels = []
     for r, run in basis.runs.items():
         # the entries come in order of source, so a run is one slice of each map
         cuts = [np.searchsorted(src, (run.start, run.stop)) for src, _, _ in maps]
         kernels.append(pruned_null_space([(src[a:b] - run.start, tgt[a:b], coef[a:b])
                                           for (src, tgt, coef), (a, b) in zip(maps, cuts)],
-                                         run.stop - run.start, ring.p))
+                                         run.stop - run.start, ring.p, weights[run]))
+    # the maps go before the whole kernel is assembled, to lower the peak
+    del maps
     ends = list(accumulate(map(len, kernels), initial=0))
     full = np.zeros((ends[-1], len(basis)), dtype=stored)
     for run, kernel, at in zip(basis.runs.values(), kernels, ends):
@@ -410,13 +447,16 @@ def _division_levels(ring: Ring, k: int) -> tuple[list, np.ndarray, np.ndarray]:
     index len(q) where that has a negative entry).  The coefficients of L_n
     are +-1 (a permutation expansion with distinct monomials), kept signed:
     c_0 is its own inverse, and a level's sums stay below n! p.  The n-wide
-    exponent sums are built in chunks of at most CHUNK_BYTES."""
+    exponent sums are built in chunks of at most CHUNK_BYTES.  Every table
+    holds positions, far below 2^31 under MAX_DECOMPOSE_BYTES, so the cache
+    keeps them as int32; deps stays int64 while it is levelled, as a gather
+    by int32 indices would convert them on every pass."""
     n, p = ring.n, ring.p
     _, _, terms, coef = _mui_terms(ring, ())
     order = np.lexsort(terms.T[::-1])[::-1]
     terms, coef = terms[order], np.where(coef > p // 2, coef - p, coef)[order]
     quot = _exponents(k, n)
-    products = np.empty((len(quot), len(terms)), dtype=np.int64)
+    products = np.empty((len(quot), len(terms)), dtype=np.int32)
     deps = np.full((len(quot), len(terms) - 1), len(quot), dtype=np.int64)
     step = max(1, CHUNK_BYTES // terms.nbytes)
     for i in range(0, len(quot), step):
@@ -434,7 +474,8 @@ def _division_levels(ring: Ring, k: int) -> tuple[list, np.ndarray, np.ndarray]:
         level[:-1] = longer
     ranked = np.argsort(longer, kind="stable")
     bounds = np.searchsorted(longer[ranked], np.arange(1, int(longer.max(initial=0)) + 1))
-    levels = [(idx, products[idx, 0], deps[idx]) for idx in np.split(ranked, bounds)]
+    levels = [(idx.astype(np.int32), products[idx, 0], deps[idx].astype(np.int32))
+              for idx in np.split(ranked, bounds)]
     return levels, products, coef
 
 

@@ -504,7 +504,7 @@ def span_of(ring: Ring, degree: int, elements) -> DegreeSpan:
                       rref(np.array(rows, dtype=np.int64).reshape(len(rows), len(basis)), ring.p))
 
 
-def pruned_null_space(maps, width: int, p: int) -> np.ndarray:
+def pruned_null_space(maps, width: int, p: int, classes=None) -> np.ndarray:
     """RREF basis of the joint kernel of linear maps on F_p^width, each
     (source, target, coefficient) arrays with no (source, target) pair twice
     and each coefficient nonzero mod p.  The arrays keep their dtypes.  Map
@@ -514,18 +514,36 @@ def pruned_null_space(maps, width: int, p: int) -> np.ndarray:
     and Odlyzko, CRYPTO '90), each row with one entry on the live columns
     forces that coordinate to 0, until none is left.  The live rows and
     columns are then filled in densely, and zero columns put back into the
-    RREF of their kernel keep it RREF."""
+    RREF of their kernel keep it RREF.
+
+    classes, when given, labels each column with an integer, and the kernel
+    is the direct sum over the labels of the joint kernels on the columns of
+    one label.  Each row splits into one row per label, row id plus label
+    times len(maps) * height (int64 if the row dtype cannot hold that), so
+    no row mixes two labels; ids spread past four times the entry count are
+    renumbered by np.unique first.  The pruning is one pass over every
+    label, and _block_null_spaces takes the dense phase, block by block."""
+    cls = (np.zeros(width, dtype=np.intp) if classes is None
+           else np.unique(classes, return_inverse=True)[1].reshape(width))
+    labels = int(cls.max(initial=0)) + 1
     maps, stored = list(maps), np.min_scalar_type(p - 1)
     empty = np.zeros(0, dtype=np.uint8)
     col, row, val = (np.concatenate(parts) for parts in zip((empty,) * 3, *maps))
     height = int(row.max(initial=0)) + 1
-    wide = np.int64 if len(maps) * height > np.iinfo(row.dtype).max else row.dtype
+    stride = len(maps) * height
+    wide = np.int64 if labels * stride > np.iinfo(row.dtype).max else row.dtype
     row = row + np.repeat(np.arange(len(maps), dtype=wide) * height, [len(src) for src, _, _ in maps])
+    if labels > 1:
+        row += (cls.astype(wide) * stride)[col]
+        if labels * stride > 4 * len(row):
+            row = np.unique(row, return_inverse=True)[1].reshape(len(row))
     live = np.ones(width, dtype=bool)
     while len(forced := col[np.bincount(row)[row] == 1]):
         live[forced] = False
         keep = live[col]
         row, col, val = row[keep], col[keep], val[keep]
+    if labels > 1:
+        return _block_null_spaces(row, col, _residues(val, p), live, cls, p)
     count = np.bincount(row)
     sub = np.zeros((0, 0), dtype=stored)
     if live.any():
@@ -534,6 +552,44 @@ def pruned_null_space(maps, width: int, p: int) -> np.ndarray:
         sub = null_space(mat, p)
     kernel = np.zeros((len(sub), width), dtype=stored)
     kernel[:, live] = sub
+    return kernel
+
+
+def _block_null_spaces(row, col, val, live, cls, p: int) -> np.ndarray:
+    """The kernel of pruned_null_space for several labels, from its pruned
+    entries (row ids in label-major order, values reduced mod p), its live
+    columns and the label of each column, numbered from 0: one dense block
+    per label with a live column, its live columns in order and its rows in
+    order of id, each block a slice of one buffer; the rows of the kernels
+    of the blocks merged by leading column."""
+    width, labels, stored = len(live), int(cls.max()) + 1, val.dtype
+    of = cls[col]
+    row = np.unique(row, return_inverse=True)[1].reshape(len(row))
+    row_label = np.zeros(int(row.max(initial=-1)) + 1, dtype=np.intp)
+    row_label[row] = of
+    rows_of = np.bincount(row_label, minlength=labels)
+    cols = np.flatnonzero(live)
+    cols = cols[np.argsort(cls[cols], kind="stable")]
+    cols_of = np.bincount(cls[cols], minlength=labels)
+    first_col = np.cumsum(cols_of) - cols_of
+    col_at = np.zeros(width, dtype=np.int64)
+    col_at[cols] = np.arange(len(cols)) - np.repeat(first_col, cols_of)
+    sizes = rows_of * cols_of
+    starts = np.cumsum(sizes) - sizes
+    cells = np.zeros(int(sizes.sum()), dtype=stored)
+    cells[starts[of] + (row - (np.cumsum(rows_of) - rows_of)[of]) * cols_of[of] + col_at[col]] = val
+    subs = []
+    for c in np.flatnonzero(cols_of).tolist():
+        block = cells[starts[c]:starts[c] + sizes[c]].reshape(rows_of[c], cols_of[c])
+        subs.append((null_space(block, p), cols[first_col[c]:first_col[c] + cols_of[c]]))
+    leads = np.concatenate([np.zeros(0, dtype=np.int64)] + [on[_pivots(sub)] for sub, on in subs])
+    place = np.empty(len(leads), dtype=np.int64)
+    place[np.argsort(leads)] = np.arange(len(leads))
+    kernel = np.zeros((len(leads), width), dtype=stored)
+    at = 0
+    for sub, on in subs:
+        kernel[np.ix_(place[at:at + len(sub)], on)] = sub
+        at += len(sub)
     return kernel
 
 

@@ -37,7 +37,7 @@ from mui.essential import (
 )
 from mui.algebra import NotDivisibleError, _element
 from mui.linalg import _exponents, _term_arrays
-from mui.steenrod import apply_word
+from mui.steenrod import apply_word, bockstein_map, power_map
 from helpers import (
     all_subsets,
     homogeneous_elements,
@@ -46,12 +46,15 @@ from helpers import (
     rand_homogeneous,
     rand_poly,
     reference_compositions,
+    reference_bockstein,
     reference_decompose,
     reference_ess_basis,
     reference_ess_by_rank,
     reference_is_essential,
     reference_mul,
+    reference_null_space,
     reference_poly_divide,
+    reference_power_op,
     reference_restrict,
     time_limit,
 )
@@ -175,13 +178,16 @@ def test_ess_dimensions_match_free_module_counts():
 
 @pytest.mark.parametrize(
     "p,n,top",
-    [(3, 2, 10), (5, 2, 10), (3, 3, 12), (2, 3, 10), (2, 4, 8), (3, 1, 8), (2, 1, 8), (7, 2, 14)],
+    [(3, 2, 10), (5, 2, 10), (3, 3, 12), (2, 3, 10), (2, 4, 8), (3, 1, 8), (2, 1, 8), (7, 2, 14),
+     (5, 3, 10), (3, 4, 8)],
 )
 def test_ess_basis_matches_dense_reference(p, n, top):
     # at (3,3) most degrees mix exterior ranks, so the per-rank kernels and
     # their pivot-ordered union are checked against one full kernel; p = 2
     # has no exterior factor, n = 1 restricts to the rank-0 ring, and the
-    # top exterior rank restricts to nothing
+    # top exterior rank restricts to nothing.  The reference restricts to
+    # every subgroup; at (5,3) and (3,4) there are 64 and 16 torus weights
+    # and 31 and 40 subgroups, in 7 and 15 torus orbits
     ring = Ring(p, n)
     for d in range(top + 1):
         expected = reference_ess_basis(ring, d)
@@ -189,7 +195,8 @@ def test_ess_basis_matches_dense_reference(p, n, top):
 
 
 @pytest.mark.parametrize(
-    "p,n,top", [(3, 2, 14), (3, 3, 14), (5, 2, 10), (2, 2, 10), (2, 3, 10), (2, 4, 8)]
+    "p,n,top",
+    [(3, 2, 14), (3, 3, 14), (5, 2, 10), (2, 2, 10), (2, 3, 10), (2, 4, 8), (5, 3, 10), (3, 4, 8)],
 )
 def test_ess_by_rank_matches_per_monomial_reference(p, n, top):
     # the configurations of scripts/run_verification.py, at lower degree
@@ -201,6 +208,105 @@ def test_ess_by_rank_matches_per_monomial_reference(p, n, top):
         assert got.keys() == expected.keys(), (p, n, d)
         for r, rows in expected.items():
             assert np.array_equal(rows, got[r].rows), (p, n, d, r)
+
+
+def weight_digits(p, masks, pows):
+    """The torus weight ((eps_i + m_i) mod (p - 1))_i of each monomial a_E x^m,
+    eps_i the i-th exterior bit, one row each."""
+    return ((masks[:, None] >> np.arange(pows.shape[1]) & 1) + pows) % (p - 1)
+
+
+def torus_orbits(ring):
+    """The maximal subgroups grouped by the support of their forms, which
+    the diagonal torus preserves and within which it is transitive."""
+    orbits = {}
+    for H in maximal_subgroups(ring):
+        orbits.setdefault(tuple(c != 0 for c in H.form), []).append(H)
+    return list(orbits.values())
+
+
+@pytest.mark.parametrize("p,n,top", [(3, 2, 12), (5, 2, 12), (3, 3, 9), (5, 3, 8)])
+def test_restriction_vanishes_on_a_whole_torus_orbit_or_on_none(p, n, top):
+    # the lemma _ess_data rests on: for y of one torus weight, res_H y = 0
+    # on one member H of a torus orbit exactly when it vanishes on all of
+    # them.  Each y is a random vector of the kernel of the reference
+    # restriction to one subgroup H0 on one weight space, or a random
+    # element of that weight space
+    ring = Ring(p, n)
+    rng = random.Random(100 * p + n)
+    orbits = torus_orbits(ring)
+    assert len(orbits) == 2**n - 1
+    reps = [[H for H in orbit if set(H.form) <= {0, 1}] for orbit in orbits]
+    assert all(len(rep) == 1 for rep in reps)
+    assert set(essential._orbit_subgroups(ring)) == {rep[0] for rep in reps}
+    for trial in range(12):
+        d = rng.randrange(1, top + 1)
+        basis = monomial_basis(ring, d)
+        digits = weight_digits(p, *basis.arrays)
+        weight = digits[rng.randrange(len(basis))]
+        mons = [m for m, w in zip(basis.monomials, digits) if np.array_equal(w, weight)]
+        gens = [ring.monomial(m.ext, m.pows) for m in mons]
+        H0 = rng.choice(rng.choice(orbits))
+        cod = monomial_basis(H0.subring, d)
+        images = np.array([cod.coords(reference_restrict(y, H0)) for y in gens])
+        kernel = reference_null_space(images.reshape(len(gens), len(cod)).T, p)
+        ys = [sum((y * rng.randrange(p) for y in gens), ring.zero())]
+        if len(kernel):
+            coef = np.array([rng.randrange(p) for _ in kernel]) @ kernel % p
+            ys.append(sum((y * int(c) for y, c in zip(gens, coef)), ring.zero()))
+            assert reference_restrict(ys[-1], H0).is_zero()
+        for y in ys:
+            for orbit in orbits:
+                dead = {reference_restrict(y, H).is_zero() for H in orbit}
+                assert len(dead) == 1, (y, orbit)
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (3, 3), (5, 2), (5, 3), (7, 2)])
+def test_steenrod_operations_preserve_torus_weight(p, n):
+    # x_i and a_i both have weight e_i, beta a_i = x_i, and P^k sends x_i^m
+    # to a multiple of x_i^(m + k (p - 1)); _torus_weights labels two
+    # monomials of one degree alike exactly when their weights agree
+    ring = Ring(p, n)
+    for d in range(14):
+        masks, pows = monomial_basis(ring, d).arrays
+        digits = weight_digits(p, masks, pows)
+        labels = essential._torus_weights(ring, d, masks, pows)
+        same = (digits[:, None] == digits[None]).all(axis=2)
+        assert np.array_equal(labels[:, None] == labels[None], same), d
+        maps = [bockstein_map(masks, pows)] + [power_map(k, masks, pows, p) for k in (1, 2, p)]
+        for src, tgt_masks, tgt_pows, _ in maps:
+            assert np.array_equal(weight_digits(p, tgt_masks, tgt_pows), digits[src]), d
+    # and on elements, through the reference operations
+    rng = random.Random(p + n)
+    for _ in range(10):
+        y = rand_homogeneous(ring, rng, rng.randrange(1, 8))
+        for img in (reference_bockstein(y), reference_power_op(1, y)):
+            _, masks, pows, _ = _term_arrays(ring, img)
+            _, y_masks, y_pows, _ = _term_arrays(ring, y)
+            assert {tuple(w) for w in weight_digits(p, masks, pows)} <= {
+                tuple(w) for w in weight_digits(p, y_masks, y_pows)}
+
+
+@pytest.mark.parametrize("p,n,top", [(3, 2, 10), (5, 3, 8), (3, 4, 8), (2, 3, 10), (2, 4, 6)])
+def test_ess_data_restricts_to_one_subgroup_per_torus_orbit(p, n, top, monkeypatch):
+    # 2^n - 1 restriction maps per degree, one per 0/1 form; at p = 2 the
+    # torus is trivial and that is every subgroup
+    ring = Ring(p, n)
+    calls = []
+    real = essential.restriction_map
+    monkeypatch.setattr(essential, "restriction_map",
+                        lambda H, *arrays: calls.append(H) or real(H, *arrays))
+    essential._ess_data.cache_clear()
+    try:
+        for d in range(top + 1):
+            calls.clear()
+            ess_basis(ring, d)
+            assert len(calls) == 2**n - 1, d
+            assert all(set(H.form) <= {0, 1} for H in calls)
+            if p == 2:
+                assert tuple(calls) == maximal_subgroups(ring)
+    finally:
+        essential._ess_data.cache_clear()
 
 
 @pytest.mark.parametrize(

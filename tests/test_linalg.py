@@ -326,6 +326,105 @@ def test_fully_forced_domain_skips_elimination(monkeypatch):
     assert kernel_of_map(basis, images).rows.shape == (0, len(basis))
 
 
+def as_maps(mat, height, spread=1, dtype=np.int64):
+    """The consecutive height-row blocks of mat as the (source, target,
+    coefficient) maps of pruned_null_space, targets times spread."""
+    maps = []
+    for k in range(0, len(mat), height):
+        rows, cols = np.nonzero(mat[k:k + height])
+        maps.append((cols.astype(dtype), (rows * spread).astype(dtype),
+                     mat[k:k + height][rows, cols]))
+    return maps
+
+
+def classed_reference(mat, classes, p):
+    """Reference for pruned_null_space with column classes: the direct sum of
+    reference_pruned_null_space over the column blocks of each class, brought
+    to RREF by reference_rref."""
+    parts = [np.zeros((0, mat.shape[1]), dtype=np.int64)]
+    for label in np.unique(classes):
+        on = np.flatnonzero(classes == label)
+        sub = reference_pruned_null_space(mat[:, on], p)
+        part = np.zeros((len(sub), mat.shape[1]), dtype=np.int64)
+        part[:, on] = sub
+        parts.append(part)
+    return reference_rref(np.concatenate(parts), p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 251, 257])
+def test_pruned_null_space_with_classes_is_the_direct_sum(p, monkeypatch):
+    # a row meeting two classes splits in two, and either half may be a
+    # singleton that forces its column; labels are any integers; the storage
+    # dtype is uint8 at 251 and uint16 at 257
+    stored = np.min_scalar_type(p - 1)
+    blocks = []
+    monkeypatch.setattr(linalg, "null_space",
+                        lambda m, p: blocks.append(m.shape) or null_space(m, p))
+    rng = random.Random(p)
+    for trial in range(40):
+        n_rows, n_cols = rng.randrange(1, 30), rng.randrange(1, 20)
+        chain = rng.sample(range(n_cols), rng.randrange(min(n_cols, n_rows) + 1))
+        mat = sparse_with_cascade(rng, p, n_rows, n_cols, chain)
+        classes = np.array([rng.choice((-3, 7, 1000, 2**40)[:1 + trial % 4])
+                            for _ in range(n_cols)])
+        blocks.clear()
+        got = linalg.pruned_null_space(as_maps(mat, rng.randrange(1, n_rows + 1)), n_cols, p,
+                                       classes)
+        assert got.dtype == stored
+        assert np.array_equal(got.astype(np.int64), classed_reference(mat, classes, p)), trial
+        # at most one dense block per class
+        assert len(blocks) <= len(np.unique(classes))
+
+    # one class, whatever its label: byte for byte the call without classes
+    for label in (0, -5, 2**40):
+        mat = sparse_with_cascade(rng, p, 25, 14, rng.sample(range(14), 4))
+        maps = as_maps(mat, 10)
+        plain = linalg.pruned_null_space(maps, 14, p)
+        classed = linalg.pruned_null_space(maps, 14, p, np.full(14, label))
+        assert plain.dtype == classed.dtype and plain.tobytes() == classed.tobytes()
+
+    # class 1 is forced column by column (its first row a singleton, each
+    # later one a singleton once the column before is gone), class 2 has no
+    # entry at all, and class 3 is a cycle with no singleton row, one of
+    # its rows also meeting class 1: dense blocks for classes 2 and 3 only
+    mat = np.zeros((9, 12), dtype=np.int64)
+    classes = np.array([1] * 4 + [2] * 3 + [3] * 5)
+    mat[:4, :4] = sparse_with_cascade(rng, p, 4, 4, [0, 1, 2, 3])
+    for i in range(5):
+        mat[4 + i, [7 + i, 7 + (i + 1) % 5]] = [1, p - 1]
+    mat[4, 0] = 1
+    blocks.clear()
+    got = linalg.pruned_null_space(as_maps(mat, 5), 12, p, classes)
+    assert [shape[1] for shape in blocks] == [3, 5]
+    assert not got[:, :4].any()
+    assert np.array_equal(got[:, 4:7][got[:, 4:7].any(axis=1)], np.eye(3, dtype=stored))
+    assert np.array_equal(got.astype(np.int64), classed_reference(mat, classes, p))
+
+
+def test_pruned_null_space_widens_class_map_height_row_ids():
+    # int32 targets whose height times the maps fits int32, but not times
+    # the classes as well: the row ids are numbered in int64, over the
+    # entries only, and nothing the size of that product is allocated
+    p = 5
+    rng = random.Random(3)
+    mat = sparse_with_cascade(rng, p, 16, 12, rng.sample(range(12), 3))
+    classes = np.arange(12) % 3
+    mat[7, 5], mat[15, 6] = 1, 2
+    spread = 2**27
+    maps = as_maps(mat, 8, spread, np.int32)
+    height = 7 * spread + 1
+    assert len(maps) * height < 2**31 - 1 < 3 * len(maps) * height
+    tracemalloc.start()
+    try:
+        got = linalg.pruned_null_space(maps, 12, p, classes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    assert np.array_equal(got.astype(np.int64), classed_reference(mat, classes, p))
+    assert np.array_equal(got, linalg.pruned_null_space(as_maps(mat, 8), 12, p, classes))
+
+
 def test_rank_nullity():
     rng = random.Random(5)
     for _ in range(40):
