@@ -136,29 +136,35 @@ def _residues(mat, p: int) -> np.ndarray:
 
 
 def _pivots(rows: np.ndarray) -> np.ndarray:
-    """Column of the leading entry of each row of a matrix with no zero row."""
-    row, col = np.nonzero(rows)
-    return col[np.unique(row, return_index=True)[1]]
+    """Column of the leading entry of each row of a matrix with no zero row:
+    the argmax of its nonzero pattern, in chunks of rows of at most
+    CHUNK_BYTES."""
+    out = np.empty(len(rows), dtype=np.intp)
+    step = max(1, CHUNK_BYTES // max(1, rows.shape[1]))
+    for i in range(0, len(rows), step):
+        (rows[i:i + step] != 0).argmax(axis=1, out=out[i:i + step])
+    return out
 
 
 def null_space(mat: np.ndarray, p: int) -> np.ndarray:
     """RREF basis of {v : mat @ v = 0 mod p}.  With the columns reversed,
     the kernel vector of free column f is 1 at f, 0 on the other free
-    columns and on pivot columns after f; reversed back, it is already RREF.
-    rref_stack takes the reversed rows in blocks of at most twice the width.
-    Its storage dtype is unsigned, so -x mod p is p - x there."""
+    columns and on pivot columns after f; so in the original order it leads
+    at its free column, and by free column the vectors are RREF.  rref_stack
+    takes the reversed rows in blocks of at most twice the width.  Its
+    storage dtype is unsigned, so -x mod p is p - x there."""
     mat = np.asarray(mat)
     width, rows = mat.shape[1], mat[:, ::-1]
     reduced = rref_stack([rows[i:i + 2 * width] for i in range(0, len(rows), max(1, 2 * width))],
                          p, width)
-    pivots = _pivots(reduced)
+    pivots = width - 1 - _pivots(reduced)
     free = np.ones(width, dtype=bool)
     free[pivots] = False
-    free = np.flatnonzero(free)
+    free = free.nonzero()[0]
     basis = np.zeros((len(free), width), dtype=reduced.dtype)
     basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = (p - reduced[:, free].T) % p
-    return basis[::-1, ::-1]
+    basis[:, pivots] = (p - reduced[:, width - 1 - free].T) % p
+    return basis
 
 
 # float64 holds every integer below 2^53 exactly
@@ -507,22 +513,23 @@ def span_of(ring: Ring, degree: int, elements) -> DegreeSpan:
 def pruned_null_space(maps, width: int, p: int, classes=None) -> np.ndarray:
     """RREF basis of the joint kernel of linear maps on F_p^width, each
     (source, target, coefficient) arrays with no (source, target) pair twice
-    and each coefficient nonzero mod p.  The arrays keep their dtypes.  Map
-    k fills rows k * height + target of one matrix, height one more than
-    the largest target (int64 if their dtype cannot hold that); rows no
-    entry reaches are dropped.  First, as in structured Gaussian elimination (LaMacchia
-    and Odlyzko, CRYPTO '90), each row with one entry on the live columns
-    forces that coordinate to 0, until none is left.  The live rows and
-    columns are then filled in densely, and zero columns put back into the
-    RREF of their kernel keep it RREF.
+    and each coefficient nonzero mod p.  The arrays keep their dtypes.
 
     classes, when given, labels each column with an integer, and the kernel
     is the direct sum over the labels of the joint kernels on the columns of
-    one label.  Each row splits into one row per label, row id plus label
-    times len(maps) * height (int64 if the row dtype cannot hold that), so
-    no row mixes two labels; ids spread past four times the entry count are
-    renumbered by np.unique first.  The pruning is one pass over every
-    label, and _block_null_spaces takes the dense phase, block by block."""
+    one label; without it every column has one label.  Map k fills rows
+    k * height + target, height one more than the largest target, and each
+    row splits into one row per label, row id plus label times
+    len(maps) * height (int64 if the row dtype cannot hold that); ids
+    spread past four times the entry count are renumbered by np.unique.
+    First, as in structured Gaussian elimination (LaMacchia and Odlyzko,
+    CRYPTO '90), each row with one entry on the live columns forces that
+    coordinate to 0, until none is left.  Then each label with a live
+    column fills one dense block, its rows with a live entry in order of id
+    by its live columns in order, and null_space takes it.  Zero columns
+    put back into the RREF of a block's kernel keep it RREF, and the
+    blocks' kernels have disjoint supports: merged by leading column, they
+    are the RREF of the whole kernel."""
     cls = (np.zeros(width, dtype=np.intp) if classes is None
            else np.unique(classes, return_inverse=True)[1].reshape(width))
     labels = int(cls.max(initial=0)) + 1
@@ -532,65 +539,43 @@ def pruned_null_space(maps, width: int, p: int, classes=None) -> np.ndarray:
     height = int(row.max(initial=0)) + 1
     stride = len(maps) * height
     wide = np.int64 if labels * stride > np.iinfo(row.dtype).max else row.dtype
-    row = row + np.repeat(np.arange(len(maps), dtype=wide) * height, [len(src) for src, _, _ in maps])
-    if labels > 1:
-        row += (cls.astype(wide) * stride)[col]
-        if labels * stride > 4 * len(row):
-            row = np.unique(row, return_inverse=True)[1].reshape(len(row))
+    row = row + (np.arange(len(maps), dtype=wide) * height).repeat([len(src) for src, _, _ in maps])
+    row += (cls.astype(wide) * stride)[col]
+    if labels * stride > 4 * len(row):
+        row = np.unique(row, return_inverse=True)[1].reshape(len(row))
     live = np.ones(width, dtype=bool)
     while len(forced := col[np.bincount(row)[row] == 1]):
         live[forced] = False
         keep = live[col]
         row, col, val = row[keep], col[keep], val[keep]
-    if labels > 1:
-        return _block_null_spaces(row, col, _residues(val, p), live, cls, p)
-    count = np.bincount(row)
-    sub = np.zeros((0, 0), dtype=stored)
-    if live.any():
-        mat = np.zeros(((count > 0).sum(), live.sum()), dtype=stored)
-        mat[np.cumsum(count > 0)[row] - 1, np.cumsum(live)[col] - 1] = val % p
-        sub = null_space(mat, p)
-    kernel = np.zeros((len(sub), width), dtype=stored)
-    kernel[:, live] = sub
-    return kernel
-
-
-def _block_null_spaces(row, col, val, live, cls, p: int) -> np.ndarray:
-    """The kernel of pruned_null_space for several labels, from its pruned
-    entries (row ids in label-major order, values reduced mod p), its live
-    columns and the label of each column, numbered from 0: one dense block
-    per label with a live column, its live columns in order and its rows in
-    order of id, each block a slice of one buffer; the rows of the kernels
-    of the blocks merged by leading column."""
-    width, labels, stored = len(live), int(cls.max()) + 1, val.dtype
-    of = cls[col]
-    row = np.unique(row, return_inverse=True)[1].reshape(len(row))
-    row_label = np.zeros(int(row.max(initial=-1)) + 1, dtype=np.intp)
-    row_label[row] = of
-    rows_of = np.bincount(row_label, minlength=labels)
-    cols = np.flatnonzero(live)
-    cols = cols[np.argsort(cls[cols], kind="stable")]
-    cols_of = np.bincount(cls[cols], minlength=labels)
-    first_col = np.cumsum(cols_of) - cols_of
-    col_at = np.zeros(width, dtype=np.int64)
-    col_at[cols] = np.arange(len(cols)) - np.repeat(first_col, cols_of)
-    sizes = rows_of * cols_of
-    starts = np.cumsum(sizes) - sizes
-    cells = np.zeros(int(sizes.sum()), dtype=stored)
-    cells[starts[of] + (row - (np.cumsum(rows_of) - rows_of)[of]) * cols_of[of] + col_at[col]] = val
-    subs = []
-    for c in np.flatnonzero(cols_of).tolist():
-        block = cells[starts[c]:starts[c] + sizes[c]].reshape(rows_of[c], cols_of[c])
-        subs.append((null_space(block, p), cols[first_col[c]:first_col[c] + cols_of[c]]))
-    leads = np.concatenate([np.zeros(0, dtype=np.int64)] + [on[_pivots(sub)] for sub, on in subs])
-    place = np.empty(len(leads), dtype=np.int64)
-    place[np.argsort(leads)] = np.arange(len(leads))
-    kernel = np.zeros((len(leads), width), dtype=stored)
+    # the live rows, numbered in order of id (so label-major), and the live
+    # columns by label, each numbered within its label
+    row = (np.bincount(row) > 0).cumsum()[row] - 1
+    row_label = np.zeros(row.max(initial=-1) + 1, dtype=np.intp)
+    row_label[row] = cls[col]
+    cols = live.nonzero()[0]
+    cols = cols[cls[cols].argsort(kind="stable")]
+    rows_of, cols_of = np.bincount(row_label, minlength=labels), np.bincount(cls[cols], minlength=labels)
+    first_row, first_col = rows_of.cumsum() - rows_of, cols_of.cumsum() - cols_of
+    col_at = np.zeros(width, dtype=np.intp)
+    col_at[cols] = np.arange(len(cols)) - first_col.repeat(cols_of)
+    # one buffer holds the blocks row-major, row r from cell row_at[r] on
+    row_at = np.concatenate([[0], cols_of[row_label].cumsum()])
+    cells = np.zeros(row_at[-1], dtype=stored)
+    cells[row_at[row] + col_at[col]] = val % p
+    # the entries go before the blocks are reduced, and the blocks before
+    # their kernels are merged, to lower the peak
+    del row, col, val
+    subs = [(null_space(cells[row_at[r]:row_at[r + n]].reshape(n, k), p), cols[f:f + k])
+            for r, n, f, k in zip(*(a.tolist() for a in (first_row, rows_of, first_col, cols_of))) if k]
+    del cells
+    kernel = np.zeros((sum(len(sub) for sub, _ in subs), width), dtype=stored)
     at = 0
     for sub, on in subs:
-        kernel[np.ix_(place[at:at + len(sub)], on)] = sub
+        kernel[at:at + len(sub), on] = sub
         at += len(sub)
-    return kernel
+    # a lone block's kernel is RREF already; several merge by leading column
+    return kernel[_pivots(kernel).argsort()] if len(subs) > 1 else kernel
 
 
 class SpanBuilder:

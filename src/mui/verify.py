@@ -331,32 +331,30 @@ def _high_rank_span(ring: Ring, d: int, min_rank: int) -> DegreeSpan:
     runs come by rank descending, so these are the first ones."""
     basis = monomial_basis(ring, d)
     top = max((run.stop for r, run in basis.runs.items() if r >= min_rank), default=0)
-    return DegreeSpan(ring.p, d, np.eye(top, len(basis), dtype=np.int64))
+    return DegreeSpan(ring.p, d, np.eye(top, len(basis), dtype=np.min_scalar_type(ring.p - 1)))
+
+
+def _joint_ann_cases(ring: Ring, max_degree: int, r: int, prefix: str) -> list[Case]:
+    """The joint annihilator of the rank-r subset invariants against the sum
+    of the exterior ranks above n - r, degree by degree, as the cases
+    annihilator[<prefix>d=...]."""
+    subsets = tuple(combinations(range(1, ring.n + 1), r))
+    return [_span_case(f"annihilator[{prefix}d={d}]", ring, _high_rank_span(ring, d, ring.n - r + 1),
+                       _joint_annihilator(ring, d, subsets))
+            for d in range(max_degree + 1)]
 
 
 def _check_joint_ann(ring: Ring, max_degree: int) -> list[Case]:
     """The joint annihilator of the rank-one invariants is the top exterior
     rank, degree by degree."""
-    singletons = tuple((s,) for s in range(1, ring.n + 1))
-    cases = []
-    for d in range(max_degree + 1):
-        actual = _joint_annihilator(ring, d, singletons)
-        expected = _high_rank_span(ring, d, ring.n)
-        cases.append(_span_case(f"annihilator[d={d}]", ring, expected, actual))
-    return cases
+    return _joint_ann_cases(ring, max_degree, 1, "")
 
 
 def _check_joint_ann2(ring: Ring, max_degree: int) -> list[Case]:
     """The joint annihilator of the rank-r subset invariants is the sum of
     the exterior ranks above n - r."""
-    cases = []
-    for r in range(1, ring.n + 1):
-        subsets = tuple(combinations(range(1, ring.n + 1), r))
-        for d in range(max_degree + 1):
-            actual = _joint_annihilator(ring, d, subsets)
-            expected = _high_rank_span(ring, d, ring.n - r + 1)
-            cases.append(_span_case(f"annihilator[r={r},d={d}]", ring, expected, actual))
-    return cases
+    return [case for r in range(1, ring.n + 1)
+            for case in _joint_ann_cases(ring, max_degree, r, f"r={r},")]
 
 
 def _check_mns_nonzero(ring: Ring, max_degree: int) -> list[Case]:

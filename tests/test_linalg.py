@@ -9,6 +9,7 @@ from mui import linalg
 from mui.algebra import _element
 from mui.essential import maximal_subgroups, restrict
 from mui.linalg import SpanBuilder, _exponent_rank, _exponents, null_space, rref
+import helpers
 from helpers import (
     kernel_of_map,
     rand_homogeneous,
@@ -309,6 +310,33 @@ def test_pruned_null_space_of_unreduced_products(p):
         kernel = linalg.pruned_null_space([(cols, rows, mat[rows, cols])], mat.shape[1], p)
         assert np.array_equal(kernel, reference_null_space(mat % p, p))
         assert np.array_equal(kernel, reference_pruned_null_space(mat, p))
+
+
+@pytest.mark.parametrize("p", [2, 3, 251])
+def test_one_label_dense_block_is_the_live_rows_and_columns(p, monkeypatch):
+    # with no classes, or one label, the dense phase is one null_space call
+    # (none when every column is forced) on the rows with a live entry by
+    # the live columns, both in order: the block reference_pruned_null_space
+    # reduces, in the storage dtype
+    got, expected = [], []
+    monkeypatch.setattr(linalg, "null_space", lambda m, p: got.append(m.copy()) or null_space(m, p))
+    monkeypatch.setattr(helpers, "null_space", lambda m, p: expected.append(m) or null_space(m, p))
+    rng = random.Random(p)
+    for trial in range(60):
+        n_rows, n_cols = rng.randrange(1, 30), rng.randrange(1, 20)
+        chain = rng.sample(range(n_cols), rng.randrange(min(n_cols, n_rows) + 1))
+        mat = sparse_with_cascade(rng, p, n_rows, n_cols, chain)
+        maps = as_maps(mat, rng.randrange(1, n_rows + 1), rng.choice((1, 7)))
+        reference = reference_pruned_null_space(mat, p)
+        for classes in (None, np.full(n_cols, rng.choice((-2, 0, 9)))):
+            got.clear()
+            kernel = linalg.pruned_null_space(maps, n_cols, p, classes)
+            assert len(got) == len(expected) <= 1, trial
+            for block, ref in zip(got, expected):
+                assert block.dtype == np.min_scalar_type(p - 1)
+                assert block.shape == ref.shape and np.array_equal(block, ref % p), trial
+            assert np.array_equal(kernel.astype(np.int64), reference), trial
+        expected.clear()
 
 
 def test_fully_forced_domain_skips_elimination(monkeypatch):

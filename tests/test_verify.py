@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from mui import CLAIMS, ConfigError, Ring, claim_ids, monomial_basis, run_all, run_claim
-from mui.verify import _ess_squared_spans, _joint_annihilator, check_resources
+from mui.verify import _ess_squared_spans, _high_rank_span, _joint_annihilator, check_resources
 from helpers import reference_ess_squared_spans, reference_joint_annihilator
 
 R32 = Ring(3, 2)
@@ -109,6 +109,23 @@ def test_joint_annihilator_matches_reference(p, n, max_degree):
             expected = reference_joint_annihilator(ring, d, subsets)
             assert got.rows.dtype == np.uint8
             assert got == expected, (subsets, d)
+
+
+@pytest.mark.parametrize("p,n,max_degree", [(3, 3, 12), (5, 2, 10), (257, 2, 4)])
+def test_annihilator_spans_are_in_the_storage_dtype(p, n, max_degree):
+    # the high-rank span each joint annihilator is compared with is an
+    # identity on the first monomials, made in the storage dtype as the
+    # annihilator is (uint8 at 3 and 5, uint16 at 257), not in int64
+    ring = Ring(p, n)
+    stored = np.min_scalar_type(p - 1)
+    for r in range(1, n + 1):
+        subsets = tuple(combinations(range(1, n + 1), r))
+        for d in range(max_degree + 1):
+            basis = monomial_basis(ring, d)
+            high = [i for i, mon in enumerate(basis.monomials) if len(mon.ext) > n - r]
+            got = _high_rank_span(ring, d, n - r + 1)
+            assert got.rows.dtype == _joint_annihilator(ring, d, subsets).rows.dtype == stored
+            assert np.array_equal(got.rows, np.eye(len(basis), dtype=np.int64)[high]), (r, d)
 
 
 @pytest.mark.parametrize("p,n,max_degree", [(3, 2, 20), (3, 3, 20), (5, 2, 12)])
