@@ -238,6 +238,8 @@ def _ess_data(ring: Ring, degree: int):
     contiguous run of the basis, and the runs come in basis order, so the
     pieces stacked in that order are the RREF of the whole kernel, and the
     rank spans are row slices of it."""
+    if ring.n < 1:
+        raise ValueError("rank must be at least 1")
     basis = monomial_basis(ring, degree)
     cod = monomial_basis(Ring(ring.p, ring.n - 1), degree)
     stored = np.min_scalar_type(ring.p - 1)
@@ -373,6 +375,8 @@ def decompose_rows(ring: Ring, degree: int, rank: int, rows: np.ndarray) -> tupl
     M_{n,S} restricts to zero; is_essential runs only on a row that fails,
     to name the failure."""
     n, p = ring.n, ring.p
+    if n < 1:
+        raise ValueError("rank must be at least 1")
     full = tuple(range(1, n + 1))
     lam_inv = field.inv(mui_set(ring, full).coefficient(full, (0,) * n), p)
     rows = np.asarray(rows, dtype=np.int64)

@@ -123,6 +123,8 @@ def _subtract_products(m: np.ndarray, rows, pivots, cols, lead: np.ndarray, p: i
     """m[rows, cols] -= m[rows, pivots] @ lead mod p in place, by matmul_mod on
     chunks of rows of at most CHUNK_BYTES (and of int64), gathered by np.take."""
     step = max(1, CHUNK_BYTES // max(8 * len(cols), m.itemsize * m.shape[1], 1))
+    if len(rows) > step:  # into matmul_mod's GEMM dtype once, not once per chunk
+        lead = np.asarray(lead, dtype=np.float64 if (p - 1) ** 2 < FLOAT64_EXACT else np.int64)
     for i in range(0, len(rows), step):
         part = m.take(rows[i:i + step], axis=0)
         part[:, cols] = (part.take(cols, axis=1) - matmul_mod(part.take(pivots, axis=1), lead, p)) % p
@@ -258,16 +260,6 @@ def _is_rref(m: np.ndarray) -> bool:
     )
 
 
-def _reduce(vec: np.ndarray, rows, pivots, p: int) -> np.ndarray:
-    """vec minus its components along the RREF rows with the given pivots."""
-    v = np.array(vec, dtype=np.int64) % p
-    for piv, row in zip(pivots, rows):
-        c = v[piv]
-        if c:
-            v = (v - c * row.astype(np.int64)) % p
-    return v
-
-
 @dataclass(frozen=True, eq=False)
 class DegreeSpan:
     """A subspace of one graded piece, canonicalized as an RREF matrix."""
@@ -296,7 +288,12 @@ class DegreeSpan:
         return _pivots(self.rows)
 
     def contains_vector(self, vec: np.ndarray) -> bool:
-        return not _reduce(vec, self.rows, self.pivots, self.p).any()
+        return not self._outside(vec)[0]
+
+    def _outside(self, rows) -> np.ndarray:
+        """Which of some integer rows (or one vector) are not in the span: all
+        reduced mod p into the storage dtype, then against its RREF by _clear."""
+        return _clear(_residues(np.atleast_2d(rows), self.p), self.rows, self.pivots, self.p).any(axis=1)
 
     def __repr__(self):
         return f"DegreeSpan(p={self.p}, degree={self.degree}, dim={self.dim}/{self.ambient_dim})"
@@ -410,9 +407,6 @@ class DegreeBasis:
             raise ValueError(f"{len(vec)} coordinates for {len(masks)} monomials")
         at = np.flatnonzero(vec)
         return _from_term_arrays(self.ring, masks[at], pows[at], vec[at])
-
-    def elements(self, mat: np.ndarray) -> list[Element]:
-        return [self.element(row) for row in mat]
 
 
 def _exterior(mask: int, n: int) -> tuple[int, ...]:
@@ -579,14 +573,12 @@ def pruned_null_space(maps, width: int, p: int, classes=None) -> np.ndarray:
 
 
 class SpanBuilder:
-    """Incrementally maintained RREF span, one vector at a time."""
+    """An RREF span grown one vector at a time, each through rref_stack."""
 
     def __init__(self, ambient_dim: int, p: int):
         _check_int64_prime(p)
         self.p = p
-        self.ambient_dim = ambient_dim
-        self.rows: list[np.ndarray] = []
-        self.pivots: list[int] = []
+        self.rows = np.zeros((0, ambient_dim), dtype=np.min_scalar_type(p - 1))
 
     @property
     def dim(self) -> int:
@@ -594,21 +586,9 @@ class SpanBuilder:
 
     def insert(self, vec: np.ndarray) -> bool:
         """Add a vector; True when it enlarged the span."""
-        v = _reduce(vec, self.rows, self.pivots, self.p)
-        support = np.nonzero(v)[0]
-        if not len(support):
-            return False
-        piv = int(support[0])
-        v = v * pow(int(v[piv]), -1, self.p) % self.p
-        for i, row in enumerate(self.rows):
-            c = row[piv]
-            if c:
-                self.rows[i] = (row - c * v) % self.p
-        at = sum(1 for q in self.pivots if q < piv)
-        self.rows.insert(at, v)
-        self.pivots.insert(at, piv)
-        return True
+        dim = self.dim
+        self.rows = rref_stack([self.rows, np.reshape(vec, (1, -1))], self.p, self.rows.shape[1])
+        return self.dim > dim
 
     def to_span(self, degree: int) -> DegreeSpan:
-        rows = np.array(self.rows, dtype=np.int64).reshape(len(self.rows), self.ambient_dim)
-        return DegreeSpan(self.p, degree, rows)
+        return DegreeSpan(self.p, degree, self.rows)

@@ -150,15 +150,11 @@ def _span_case(cid: str, ring: Ring, expected: DegreeSpan, actual: DegreeSpan) -
         return Case(cid, f"dim={expected.dim}", f"dim={actual.dim}", True)
     basis = monomial_basis(ring, actual.degree)
     detail = ""
-    for row in actual.rows:
-        if not expected.contains_vector(row):
-            detail = f"; unexpected element {basis.element(row)}"
+    # the first row of either span outside the other, all reduced at once
+    for word, rows, span in (("unexpected", actual.rows, expected), ("missing", expected.rows, actual)):
+        if len(out := np.flatnonzero(span._outside(rows))):
+            detail = f"; {word} element {basis.element(rows[out[0]])}"
             break
-    else:
-        for row in expected.rows:
-            if not actual.contains_vector(row):
-                detail = f"; missing element {basis.element(row)}"
-                break
     return Case(cid, f"dim={expected.dim}", f"dim={actual.dim}{detail}", False)
 
 

@@ -28,7 +28,7 @@ from mui.invariants import (
 from mui.linalg import (
     DegreeBasis,
     DegreeSpan,
-    SpanBuilder,
+    _check_int64_prime,
     _exponents,
     monomial_basis,
     null_space,
@@ -567,7 +567,8 @@ def reference_ess_squared_spans(ring: Ring, d: int) -> tuple[DegreeSpan, DegreeS
     each formed pair by pair by Element products and row reduced by
     span_of."""
     def elems(degree):
-        return monomial_basis(ring, degree).elements(ess_basis(ring, degree).rows)
+        basis = monomial_basis(ring, degree)
+        return [basis.element(row) for row in ess_basis(ring, degree).rows]
 
     products = []
     for d1 in range(1, d // 2 + 1):
@@ -645,19 +646,67 @@ def reference_power_op(k: int, y: Element) -> Element:
     return _element(y.p, y.n, acc)
 
 
+def _reduce(vec: np.ndarray, rows, pivots, p: int) -> np.ndarray:
+    """vec minus its components along the RREF rows with the given pivots."""
+    v = np.array(vec, dtype=np.int64) % p
+    for piv, row in zip(pivots, rows):
+        c = v[piv]
+        if c:
+            v = (v - c * row.astype(np.int64)) % p
+    return v
+
+
+class ReferenceSpanBuilder:
+    """Reference for linalg.SpanBuilder, which inserts through rref_stack:
+    an incrementally maintained int64 RREF span, one vector at a time, each
+    reduced row by row by _reduce and then cleared from the other rows."""
+
+    def __init__(self, ambient_dim: int, p: int):
+        _check_int64_prime(p)
+        self.p = p
+        self.ambient_dim = ambient_dim
+        self.rows: list[np.ndarray] = []
+        self.pivots: list[int] = []
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    def insert(self, vec: np.ndarray) -> bool:
+        """Add a vector; True when it enlarged the span."""
+        v = _reduce(vec, self.rows, self.pivots, self.p)
+        support = np.nonzero(v)[0]
+        if not len(support):
+            return False
+        piv = int(support[0])
+        v = v * pow(int(v[piv]), -1, self.p) % self.p
+        for i, row in enumerate(self.rows):
+            c = row[piv]
+            if c:
+                self.rows[i] = (row - c * v) % self.p
+        at = sum(1 for q in self.pivots if q < piv)
+        self.rows.insert(at, v)
+        self.pivots.insert(at, piv)
+        return True
+
+    def to_span(self, degree: int) -> DegreeSpan:
+        rows = np.array(self.rows, dtype=np.int64).reshape(len(self.rows), self.ambient_dim)
+        return DegreeSpan(self.p, degree, rows)
+
+
 def reference_steenrod_closure(seed: Element, max_degree: int) -> dict[int, DegreeSpan]:
     """Reference for essential.steenrod_closure, by worklist saturation: each
     new span element is multiplied by every algebra generator and hit with
     every operation (every P^k, not only the algebra generators) whose output
-    degree stays in bounds, one SpanBuilder.insert per candidate.  All
-    operations strictly raise degree, so one ascending pass over the degrees
-    reaches the fixpoint."""
+    degree stays in bounds, one ReferenceSpanBuilder.insert per candidate.
+    All operations strictly raise degree, so one ascending pass over the
+    degrees reaches the fixpoint."""
     ring = Ring(seed.p, seed.n)
     p = ring.p
     deg = seed.total_degree()
     if not isinstance(deg, int) and deg != ZERO:
         raise ValueError("seed must be homogeneous")
-    builders: dict[int, SpanBuilder] = {}
+    builders: dict[int, ReferenceSpanBuilder] = {}
     pending: dict[int, list[Element]] = defaultdict(list)
     total_dim = 0
 
@@ -670,7 +719,7 @@ def reference_steenrod_closure(seed: Element, max_degree: int) -> dict[int, Degr
             return
         builder = builders.get(d)
         if builder is None:
-            builder = builders[d] = SpanBuilder(len(monomial_basis(ring, d)), p)
+            builder = builders[d] = ReferenceSpanBuilder(len(monomial_basis(ring, d)), p)
         if builder.insert(monomial_basis(ring, d).coords(el)):
             total_dim += 1
             if total_dim > essential.MAX_CLOSURE_DIMENSION:
@@ -695,6 +744,6 @@ def reference_steenrod_closure(seed: Element, max_degree: int) -> dict[int, Degr
             for k in range(1, top + 1):
                 insert(reference_power_op(k, el))
     return {
-        d: builders.get(d, SpanBuilder(len(monomial_basis(ring, d)), p)).to_span(d)
+        d: builders.get(d, ReferenceSpanBuilder(len(monomial_basis(ring, d)), p)).to_span(d)
         for d in range(max_degree + 1)
     }

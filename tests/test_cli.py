@@ -1,7 +1,7 @@
 import json
 import random
 
-from mui import Ring
+from mui import CLAIMS, Ring
 from mui import cli, essential
 from mui.cli import main
 from helpers import rand_element, time_limit
@@ -239,6 +239,19 @@ def test_verify_unknown_claim(capsys):
     )
     assert code == 2
     assert "unknown claim" in err
+
+
+def test_rank_zero_never_dumps_a_traceback(capsys):
+    # every claim passes, fails or is refused with a message at rank 0
+    for p in (2, 3):
+        for cid in CLAIMS:
+            code, _, err = run_cli(capsys, "verify", "--p", str(p), "--n", "0",
+                                   "--max-degree", "2", "--claims", cid)
+            assert code in (0, 1, 2), (p, cid)
+            assert code != 2 or err.startswith("error: "), (p, cid, err)
+    for argv in [("ess-basis", "--degree", "2", "--p", "2", "--n", "0"),
+                 ("verify", "--p", "3", "--n", "0", "--max-degree", "2", "--claims", "thm:free")]:
+        assert run_cli(capsys, *argv) == (2, "", "error: rank must be at least 1\n")
 
 
 def test_element_round_trip_through_cli_grammar():

@@ -11,6 +11,8 @@ from mui.essential import maximal_subgroups, restrict
 from mui.linalg import SpanBuilder, _exponent_rank, _exponents, null_space, rref
 import helpers
 from helpers import (
+    ReferenceSpanBuilder,
+    _reduce,
     kernel_of_map,
     rand_homogeneous,
     reference_compositions,
@@ -545,6 +547,38 @@ def test_span_builder_matches_batch_rref():
         grew = [builder.insert(v) for v in vecs]
         assert sum(grew) == builder.dim
         assert np.array_equal(builder.to_span(0).rows, rref(vecs, 3))
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 257, 2**31 - 1])
+def test_span_builder_matches_the_reference(p):
+    # SpanBuilder inserts through rref_stack and keeps its rows in the storage
+    # dtype; the reference reduces each int64 vector row by row
+    rng = np.random.default_rng(p % 1009)
+    for width in (0, 1, 5, 9):
+        builder, reference = SpanBuilder(width, p), ReferenceSpanBuilder(width, p)
+        for kind in rng.integers(0, 5, 16).tolist():
+            if kind == 0:
+                vec = np.zeros(width, dtype=np.int64)
+            elif kind == 1:
+                # in the span, unreduced: a combination plus multiples of p
+                coef = rng.integers(0, p, reference.dim).astype(object)
+                inside = (coef @ reference.to_span(4).rows.astype(object)) % p
+                vec = (inside + p * rng.integers(-3, 4, width)).astype(np.int64)
+            elif kind == 2:
+                vec = rng.integers(p, 3 * p, width)
+            elif kind == 3:
+                vec = rng.integers(-2 * p, 0, width)
+            else:
+                vec = (rng.random(width) < 0.4) * rng.integers(1, p, width)
+            span = builder.to_span(4)
+            assert span.contains_vector(vec) == (not _reduce(vec, reference.rows, reference.pivots, p).any())
+            assert builder.insert(vec) == reference.insert(vec), (width, kind)
+            assert builder.dim == reference.dim
+            span = builder.to_span(4)
+            assert span == reference.to_span(4)
+            assert span.rows.dtype == np.min_scalar_type(p - 1)
+    assert SpanBuilder(0, 257).to_span(0).rows.dtype == np.uint16
+    assert SpanBuilder(0, 2**31 - 1).to_span(0).rows.dtype == np.uint32
 
 
 def python_matmul_mod(a, b, p):

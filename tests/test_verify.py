@@ -9,8 +9,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mui import CLAIMS, ConfigError, Ring, claim_ids, monomial_basis, run_all, run_claim
-from mui.verify import _ess_squared_spans, _high_rank_span, _joint_annihilator, check_resources
+from mui import CLAIMS, ConfigError, Ring, claim_ids, ess_basis, monomial_basis, run_all, run_claim
+from mui.linalg import DegreeSpan, rref
+from mui.verify import (
+    Case,
+    _ess_squared_spans,
+    _high_rank_span,
+    _joint_annihilator,
+    _span_case,
+    check_resources,
+)
 from helpers import reference_ess_squared_spans, reference_joint_annihilator
 
 R32 = Ring(3, 2)
@@ -184,6 +192,28 @@ def test_failure_reports_carry_counterexamples(monkeypatch):
     assert not report.passed
     bad = report.failures()
     assert bad and any(c.actual not in ("", "0") for c in bad)
+
+
+def test_span_case_names_the_first_row_outside_the_other_span():
+    # Ess in degree 6 of (3,2) is spanned by the first three of its seven
+    # monomials; the element named is a row of its span, not its residue,
+    # and an unexpected element is named before a missing one
+    ess = ess_basis(R32, 6)
+    assert [str(monomial_basis(R32, 6).element(row)) for row in ess.rows] == [
+        "a1a2*x1^2", "a1a2*x1x2", "a1a2*x2^2"]
+
+    def span(*rows):
+        return DegreeSpan(3, 6, rref(np.array(rows), 3))
+
+    inside = span([1, 1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0])
+    assert _span_case("c", R32, ess, inside) == Case(
+        "c", "dim=3", "dim=2; missing element a1a2*x1^2", False)
+    assert _span_case("c", R32, inside, ess) == Case(
+        "c", "dim=2", "dim=3; unexpected element a1a2*x1^2", False)
+    across = span([1, 2, 0, 0, 0, 0, 0], [0, 1, 0, 1, 0, 0, 2])
+    assert _span_case("c", R32, ess, across) == Case(
+        "c", "dim=3", "dim=2; unexpected element a1a2*x1^2 + x1^3 + 2*x2^3", False)
+    assert _span_case("c", R32, ess, ess) == Case("c", "dim=3", "dim=3", True)
 
 
 def test_run_all_passes_quickly_at_3_2():
