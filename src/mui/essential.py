@@ -7,12 +7,15 @@ x_pivot -> -sum_{i > pivot} form_i x_i (a_pivot likewise) at the form's
 leading coordinate, the other generators renumbered in order, stated once
 as restriction_map on runs of monomials.  The essential classes of one
 degree are the joint kernel of all restrictions, computed with exact linear
-algebra one exterior rank and one torus weight at a time.  The diagonal
-torus T of GL_n(F_p) permutes the maximal subgroups and scales each
-monomial a_E x^m by the character of its weight ((eps_i + m_i) mod
-(p - 1))_i; |T| = (p - 1)^n is prime to p, so (Maschke) the GL_n-stable
-essential ideal is the direct sum of its weight parts, and on one weight
-space one subgroup per T-orbit, the 0/1 forms, gives the whole kernel.
+algebra one exterior rank and one torus weight at a time.  The coordinate
+hyperplanes confine it to the full-support monomials.  The diagonal torus T
+of GL_n(F_p) permutes the maximal subgroups and scales each monomial
+a_E x^m by the character of its weight ((eps_i + m_i) mod (p - 1))_i;
+|T| = (p - 1)^n is prime to p, so (Maschke) the GL_n-stable essential
+ideal is the direct sum of its weight parts, and on one weight space one
+subgroup per T-orbit, the 0/1 forms, gives the whole kernel.  The
+coordinate permutations sigma in S_n carry the weight-w part onto the
+sigma(w) part, so one weight per S_n-orbit is solved.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate, combinations, product
+from itertools import accumulate, combinations, permutations, product
 
 from . import field
 from .algebra import Element, Ring, ZERO, _merge_ext
@@ -34,6 +37,7 @@ from .linalg import (
     _exponents,
     _exterior,
     _from_term_arrays,
+    _pivots,
     _read_only,
     _term_arrays,
     basis_dimension,
@@ -207,14 +211,55 @@ def _orbit_subgroups(ring: Ring) -> tuple[MaximalSubgroup, ...]:
     return tuple(H for H in maximal_subgroups(ring) if max(H.form) == 1)
 
 
+def _weight_digits(ring: Ring, masks: np.ndarray, pows: np.ndarray) -> np.ndarray:
+    """The torus weight ((eps_i + m_i) mod (p - 1))_i of each monomial a_E x^m
+    given by exterior bitmasks and exponent rows, eps_i the i-th exterior
+    bit, one row each; all 0 at p = 2."""
+    return ((masks[:, None] >> np.arange(ring.n) & 1) + pows) % (ring.p - 1)
+
+
 def _torus_weights(ring: Ring, degree: int, masks: np.ndarray, pows: np.ndarray) -> np.ndarray:
-    """The torus weight of each monomial a_E x^m of one degree given by
-    exterior bitmasks and exponent rows, ((eps_i + m_i) mod (p - 1))_i with
-    eps_i the i-th exterior bit, as one integer per monomial: the digits in
-    base min(p - 1, degree + 1), which exceeds every digit.  All 0 at p = 2."""
+    """_weight_digits of monomials of one degree as one integer each, in base
+    min(p - 1, degree + 1), which exceeds every digit."""
     base = min(ring.p - 1, degree + 1)
-    digits = ((masks[:, None] >> np.arange(ring.n) & 1) + pows) % (ring.p - 1)
-    return digits @ base ** np.arange(ring.n, dtype=np.int64)
+    return _weight_digits(ring, masks, pows) @ base ** np.arange(ring.n, dtype=np.int64)
+
+
+def _transported(basis, kernel: np.ndarray, cols: np.ndarray, labels: np.ndarray, p: int) -> list:
+    """(RREF, sorted positions) blocks of the weights not solved: kernel is
+    the RREF on the basis positions cols of one rank, of descending weights
+    labels.  The rows of weight w0 go to each other arrangement sigma(w0)
+    of its digits by a_i -> a_sigma(i), x_i -> x_sigma(i), with the Koszul
+    sign of re-sorting a_E: -1 per pair i < j in E with sigma(i) >
+    sigma(j).  Each block is built on its own, never over the whole run."""
+    n = basis.ring.n
+    masks, pows = (a[cols] for a in basis.arrays)
+    bits = masks[:, None] >> np.arange(n) & 1
+    lead = labels[_pivots(kernel)]
+    blocks = []
+    for label in sorted(set(lead.tolist())):
+        on = np.flatnonzero(labels == label)
+        rows = kernel[lead == label][:, on]
+        w0 = tuple(_weight_digits(basis.ring, masks[on[:1]], pows[on[:1]])[0].tolist())
+        for w in sorted(set(permutations(w0)) - {w0}):
+            sigma = np.argsort(np.negative(w), kind="stable")
+            odd = sum((bits[on, i] & bits[on, j] for i, j in combinations(range(n), 2)
+                       if sigma[i] > sigma[j]), np.zeros(len(on), dtype=np.int64))
+            moved = np.empty_like(pows[on])
+            moved[:, sigma] = pows[on]
+            tgt = basis.positions(bits[on] @ (1 << sigma), moved)
+            order = np.argsort(tgt)
+            block = rows[:, order]
+            flip = np.flatnonzero(odd[order] & 1)
+            block[:, flip] = (p - block[:, flip]) % p
+            # sorted by leading column and scaled to lead with 1, the rows
+            # are often RREF already, which rref_stack checks first
+            first = _pivots(block)
+            by = np.argsort(first)
+            scale = np.array([pow(v, -1, p) for v in block[by, first[by]].tolist()])
+            block = (block[by] * scale[:, None] % p).astype(rows.dtype)
+            blocks.append((rref_stack([block], p, len(on)), tgt[order]))
+    return blocks
 
 
 @lru_cache(maxsize=None)
@@ -222,47 +267,63 @@ def _ess_data(ring: Ring, degree: int):
     """(kernel span, {exterior rank: kernel span}) of all restrictions on one
     degree, both in the coordinates of the whole degree, read-only.
 
-    The joint kernel is GL_n-stable, so stable under the diagonal torus T,
-    which acts on a_E x^m by the character of its weight (_torus_weights).
-    T has order (p - 1)^n, prime to p, so the kernel is the direct sum of
-    its parts on the weight spaces (Maschke).  For t in T and y of one
-    weight, t^* y is a nonzero multiple of y, so res_(tH) y = 0 exactly
-    when res_H y = 0: on a weight space the kernel over one subgroup per
-    T-orbit, _orbit_subgroups, is the whole joint kernel.
-    restriction_map runs once per such subgroup on the whole
-    degree, its targets located by DegreeBasis.positions in the subring's
-    basis, as int32.  Restriction preserves exterior rank, so the joint
-    kernel is computed once per rank, by one pruned_null_space of the slices
-    of the maps on that rank's run, its columns classed by weight; at p = 2
-    there is one weight and every subgroup is taken.  Each rank is a
-    contiguous run of the basis, and the runs come in basis order, so the
-    pieces stacked in that order are the RREF of the whole kernel, and the
+    Restriction to a coordinate hyperplane ker(x_i) kills the monomials
+    that involve i and sends the others to distinct monomials, so the
+    joint kernel lies on the full-support monomials.  It is GL_n-stable.
+    The diagonal torus T, of order (p - 1)^n prime to p, acts on a_E x^m by
+    the character of its weight, so the kernel is the direct sum of its
+    weight parts (Maschke); on one weight, res_(tH) y = 0 exactly when
+    res_H y = 0, so one subgroup per T-orbit, _orbit_subgroups, suffices.
+    A permutation sigma in S_n, acting by a_i -> a_sigma(i),
+    x_i -> x_sigma(i), permutes the maximal subgroups, so it carries the
+    weight-w part onto the sigma(w) part.
+
+    So restriction_map runs once per 0/1 form of support at least 2, on the
+    full-support monomials of descending weight, one weight per S_n-orbit,
+    its targets located by DegreeBasis.positions, as int32.  Restriction
+    preserves exterior rank: per rank run, one pruned_null_space of the
+    slices of the maps, columns classed by weight, and _transported for the
+    other weights.  At p = 2 only the hyperplanes cut.  The blocks are RREF
+    on disjoint columns, so merged by leading column they are the RREF of
+    the whole kernel; the ranks are contiguous runs in basis order, so the
     rank spans are row slices of it."""
     if ring.n < 1:
         raise ValueError("rank must be at least 1")
     basis = monomial_basis(ring, degree)
     cod = monomial_basis(Ring(ring.p, ring.n - 1), degree)
     stored = np.min_scalar_type(ring.p - 1)
+    masks, pows = basis.arrays
+    # the full-support monomials of descending weight, by basis position
+    reps = np.flatnonzero(((masks[:, None] >> np.arange(ring.n) & 1) + pows > 0).all(axis=1)
+                          & (np.diff(_weight_digits(ring, masks, pows), axis=1) <= 0).all(axis=1))
+    masks, pows = masks[reps], pows[reps]
     maps = []
     for H in _orbit_subgroups(ring):
-        src, tgt_masks, tgt_pows, coef = restriction_map(H, *basis.arrays)
-        maps.append((src.astype(np.int32), cod.positions(tgt_masks, tgt_pows).astype(np.int32),
-                     coef.astype(stored)))
-    weights = _torus_weights(ring, degree, *basis.arrays)
-    kernels = []
-    for r, run in basis.runs.items():
+        if sum(H.form) > 1:
+            src, tgt_masks, tgt_pows, coef = restriction_map(H, masks, pows)
+            maps.append((src.astype(np.int32), cod.positions(tgt_masks, tgt_pows).astype(np.int32),
+                         coef.astype(stored)))
+    weights = _torus_weights(ring, degree, masks, pows)
+    blocks = []
+    for run in basis.runs.values():
+        a, b = np.searchsorted(reps, (run.start, run.stop))
         # the entries come in order of source, so a run is one slice of each map
-        cuts = [np.searchsorted(src, (run.start, run.stop)) for src, _, _ in maps]
-        kernels.append(pruned_null_space([(src[a:b] - run.start, tgt[a:b], coef[a:b])
-                                          for (src, tgt, coef), (a, b) in zip(maps, cuts)],
-                                         run.stop - run.start, ring.p, weights[run]))
+        cuts = [np.searchsorted(src, (a, b)) for src, _, _ in maps]
+        kernel = pruned_null_space([(src[c:e] - a, tgt[c:e], coef[c:e])
+                                    for (src, tgt, coef), (c, e) in zip(maps, cuts)],
+                                   b - a, ring.p, weights[a:b])
+        blocks += [(kernel, reps[a:b])] + _transported(basis, kernel, reps[a:b], weights[a:b],
+                                                       ring.p)
     # the maps go before the whole kernel is assembled, to lower the peak
     del maps
-    ends = list(accumulate(map(len, kernels), initial=0))
-    full = np.zeros((ends[-1], len(basis)), dtype=stored)
-    for run, kernel, at in zip(basis.runs.values(), kernels, ends):
-        full[at:at + len(kernel), run] = kernel
+    leads = np.concatenate([np.zeros(0, dtype=np.int64)]
+                           + [cols[_pivots(rows)] for rows, cols in blocks])
+    slot = np.argsort(np.argsort(leads))
+    full = np.zeros((len(leads), len(basis)), dtype=stored)
+    for (rows, cols), at in zip(blocks, accumulate((len(rows) for rows, _ in blocks), initial=0)):
+        full[slot[at:at + len(rows), None], cols] = rows
     _read_only(full)
+    ends = np.searchsorted(np.sort(leads), [run.start for run in basis.runs.values()] + [len(basis)])
     return DegreeSpan(ring.p, degree, full), {
         r: DegreeSpan(ring.p, degree, full[a:b]) for r, a, b in zip(basis.runs, ends, ends[1:])}
 

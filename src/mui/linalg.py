@@ -518,7 +518,8 @@ def pruned_null_space(maps, width: int, p: int, classes=None) -> np.ndarray:
     spread past four times the entry count are renumbered by np.unique.
     First, as in structured Gaussian elimination (LaMacchia and Odlyzko,
     CRYPTO '90), each row with one entry on the live columns forces that
-    coordinate to 0, until none is left.  Then each label with a live
+    coordinate to 0, until none is left.  When no entry is left, the kernel
+    is the identity on the live columns.  Otherwise each label with a live
     column fills one dense block, its rows with a live entry in order of id
     by its live columns in order, and null_space takes it.  Zero columns
     put back into the RREF of a block's kernel keep it RREF, and the
@@ -542,6 +543,11 @@ def pruned_null_space(maps, width: int, p: int, classes=None) -> np.ndarray:
         live[forced] = False
         keep = live[col]
         row, col, val = row[keep], col[keep], val[keep]
+    if not len(row):
+        cols = live.nonzero()[0]
+        kernel = np.zeros((len(cols), width), dtype=stored)
+        kernel[np.arange(len(cols)), cols] = 1
+        return kernel
     # the live rows, numbered in order of id (so label-major), and the live
     # columns by label, each numbered within its label
     row = (np.bincount(row) > 0).cumsum()[row] - 1

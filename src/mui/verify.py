@@ -592,6 +592,8 @@ def _check_fundamental(ring: Ring, max_degree: int) -> list[Case]:
     """P^(p^(n-1)) on M_s agrees with substituting the fundamental equation
     into the last power row; on M_n it vanishes by instability."""
     n, p = ring.n, ring.p
+    if n < 1:
+        raise ValueError("rank must be at least 1")
     k = p ** (n - 1)
     lams = fundamental_coefficients(ring)
     cases = []

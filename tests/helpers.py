@@ -534,7 +534,8 @@ def reference_pruned_null_space(mat, p: int) -> np.ndarray:
     """Reference for linalg.pruned_null_space on a dense matrix whose
     entries are nonzero exactly when they are nonzero mod p: each row with
     one nonzero entry on the live columns forces that column, until none is
-    left, and null_space takes the live rows and columns."""
+    left, and null_space takes the live rows and columns; with no live row
+    left, the kernel is every vector on the live columns."""
     mat = np.asarray(mat, dtype=np.int64)
     nonzero = mat != 0
     live = np.ones(mat.shape[1], dtype=bool)
@@ -543,8 +544,8 @@ def reference_pruned_null_space(mat, p: int) -> np.ndarray:
         forced = np.unique((nonzero[single] & live).argmax(axis=1))
         live[forced] = False
         count -= nonzero[:, forced].sum(axis=1)
-    sub = np.zeros((0, 0), dtype=np.int64)
-    if live.any():
+    sub = np.eye(live.sum(), dtype=np.int64)
+    if (count > 0).any():
         sub = null_space(mat[np.ix_(count > 0, live)], p)
     kernel = np.zeros((len(sub), mat.shape[1]), dtype=np.int64)
     kernel[:, live] = sub

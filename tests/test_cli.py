@@ -250,7 +250,9 @@ def test_rank_zero_never_dumps_a_traceback(capsys):
             assert code in (0, 1, 2), (p, cid)
             assert code != 2 or err.startswith("error: "), (p, cid, err)
     for argv in [("ess-basis", "--degree", "2", "--p", "2", "--n", "0"),
-                 ("verify", "--p", "3", "--n", "0", "--max-degree", "2", "--claims", "thm:free")]:
+                 ("verify", "--p", "3", "--n", "0", "--max-degree", "2", "--claims", "thm:free"),
+                 ("verify", "--p", "3", "--n", "0", "--max-degree", "2", "--claims",
+                  "remark:fundamental")]:
         assert run_cli(capsys, *argv) == (2, "", "error: rank must be at least 1\n")
 
 

@@ -3,7 +3,7 @@ import os
 import random
 import subprocess
 import sys
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +56,7 @@ from helpers import (
     reference_poly_divide,
     reference_power_op,
     reference_restrict,
+    reference_rref,
     time_limit,
 )
 
@@ -179,7 +180,7 @@ def test_ess_dimensions_match_free_module_counts():
 @pytest.mark.parametrize(
     "p,n,top",
     [(3, 2, 10), (5, 2, 10), (3, 3, 12), (2, 3, 10), (2, 4, 8), (3, 1, 8), (2, 1, 8), (7, 2, 14),
-     (5, 3, 10), (3, 4, 8)],
+     (5, 3, 10), (3, 4, 8), (7, 2, 12), (3, 5, 7)],
 )
 def test_ess_basis_matches_dense_reference(p, n, top):
     # at (3,3) most degrees mix exterior ranks, so the per-rank kernels and
@@ -187,7 +188,9 @@ def test_ess_basis_matches_dense_reference(p, n, top):
     # has no exterior factor, n = 1 restricts to the rank-0 ring, and the
     # top exterior rank restricts to nothing.  The reference restricts to
     # every subgroup; at (5,3) and (3,4) there are 64 and 16 torus weights
-    # and 31 and 40 subgroups, in 7 and 15 torus orbits
+    # and 31 and 40 subgroups, in 7 and 15 torus orbits.  At (7,2) 30 of
+    # the 36 weights, and at (3,5) 26 of the 32, are not sorted in
+    # descending order, so their kernels are carried over by permutations
     ring = Ring(p, n)
     for d in range(top + 1):
         expected = reference_ess_basis(ring, d)
@@ -289,24 +292,67 @@ def test_steenrod_operations_preserve_torus_weight(p, n):
 
 @pytest.mark.parametrize("p,n,top", [(3, 2, 10), (5, 3, 8), (3, 4, 8), (2, 3, 10), (2, 4, 6)])
 def test_ess_data_restricts_to_one_subgroup_per_torus_orbit(p, n, top, monkeypatch):
-    # 2^n - 1 restriction maps per degree, one per 0/1 form; at p = 2 the
-    # torus is trivial and that is every subgroup
+    # 2^n - 1 - n restriction maps per degree, one per 0/1 form of support
+    # at least 2: the n coordinate hyperplanes only cut Ess down to the
+    # full-support monomials, and no map is built for them.  Every monomial
+    # the maps see is full-support with its weight in descending order; at
+    # p = 2 the torus is trivial, and the maps are those of every subgroup
+    # but the hyperplanes
     ring = Ring(p, n)
     calls = []
     real = essential.restriction_map
-    monkeypatch.setattr(essential, "restriction_map",
-                        lambda H, *arrays: calls.append(H) or real(H, *arrays))
+
+    def spy(H, masks, pows):
+        calls.append((H, masks, pows))
+        return real(H, masks, pows)
+
+    monkeypatch.setattr(essential, "restriction_map", spy)
     essential._ess_data.cache_clear()
     try:
         for d in range(top + 1):
             calls.clear()
             ess_basis(ring, d)
-            assert len(calls) == 2**n - 1, d
-            assert all(set(H.form) <= {0, 1} for H in calls)
+            assert len(calls) == 2**n - 1 - n, d
+            assert all(set(H.form) <= {0, 1} and sum(H.form) >= 2 for H, _, _ in calls)
+            for _, masks, pows in calls:
+                assert ((masks[:, None] >> np.arange(n) & 1) + pows > 0).all(), d
+                assert (np.diff(weight_digits(p, masks, pows), axis=1) <= 0).all(), d
             if p == 2:
-                assert tuple(calls) == maximal_subgroups(ring)
+                assert tuple(H for H, _, _ in calls) == tuple(
+                    H for H in maximal_subgroups(ring) if sum(H.form) >= 2)
     finally:
         essential._ess_data.cache_clear()
+
+
+def permuted_element(ring, y, sigma):
+    """The image of y under a_i -> a_sigma(i), x_i -> x_sigma(i) (sigma on
+    1..n as a tuple of images), each term rebuilt as an Element product so
+    the Koszul sign of re-sorting a_E comes from the ring itself."""
+    out = ring.zero()
+    for (ext, pows), c in y.terms.items():
+        term = ring.one() * c
+        for i in ext:
+            term = term * ring.a(sigma[i - 1])
+        for i, e in enumerate(pows):
+            term = term * ring.x(sigma[i]) ** e
+        out = out + term
+    return out
+
+
+@pytest.mark.parametrize("p,n,top", [(3, 3, 12), (5, 2, 12), (3, 4, 8)])
+def test_ess_basis_is_stable_under_coordinate_permutations(p, n, top):
+    # the permutation matrices of GL_n permute the maximal subgroups, so each
+    # maps Ess onto itself: the images of the reference basis under every
+    # sigma in S_n, Koszul signs included, span the same RREF
+    ring = Ring(p, n)
+    for d in range(top + 1):
+        basis = monomial_basis(ring, d)
+        rows = reference_ess_basis(ring, d)
+        for sigma in permutations(range(1, n + 1)):
+            images = [basis.coords(permuted_element(ring, basis.element(row), sigma))
+                      for row in rows]
+            image = np.array(images, dtype=np.int64).reshape(len(rows), len(basis))
+            assert np.array_equal(reference_rref(image, p), rows), (d, sigma)
 
 
 @pytest.mark.parametrize(

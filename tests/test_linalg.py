@@ -317,7 +317,7 @@ def test_pruned_null_space_of_unreduced_products(p):
 @pytest.mark.parametrize("p", [2, 3, 251])
 def test_one_label_dense_block_is_the_live_rows_and_columns(p, monkeypatch):
     # with no classes, or one label, the dense phase is one null_space call
-    # (none when every column is forced) on the rows with a live entry by
+    # (none when no live entry is left) on the rows with a live entry by
     # the live columns, both in order: the block reference_pruned_null_space
     # reduces, in the storage dtype
     got, expected = [], []
@@ -339,6 +339,33 @@ def test_one_label_dense_block_is_the_live_rows_and_columns(p, monkeypatch):
                 assert block.shape == ref.shape and np.array_equal(block, ref % p), trial
             assert np.array_equal(kernel.astype(np.int64), reference), trial
         expected.clear()
+
+
+@pytest.mark.parametrize("p", [2, 3, 251, 257])
+def test_pruned_null_space_with_no_entry_left_is_the_identity(p, monkeypatch):
+    # when the pruning leaves no entry (every row a link of a cascade), or
+    # there is no map at all, no dense block is formed: the kernel is the
+    # identity on the live columns, byte for byte what the reference gives
+    # in the storage dtype, with or without classes
+    def refuse(mat, p):
+        raise AssertionError("null_space called with no entry left")
+
+    monkeypatch.setattr(linalg, "null_space", refuse)
+    stored = np.min_scalar_type(p - 1)
+    rng = random.Random(p)
+    for trial in range(40):
+        n_cols = rng.randrange(0, 20)
+        chain = rng.sample(range(n_cols), rng.randrange(n_cols + 1))
+        mat = sparse_with_cascade(rng, p, len(chain), n_cols, chain)
+        expected = reference_pruned_null_space(mat, p).astype(stored)
+        classes = np.array([rng.randrange(3) for _ in range(n_cols)], dtype=np.int64)
+        for maps in (as_maps(mat, rng.randrange(1, len(chain) + 2)), []):
+            if not maps:
+                expected = reference_pruned_null_space(np.zeros((0, n_cols)), p).astype(stored)
+            for labels in (None, classes):
+                got = linalg.pruned_null_space(maps, n_cols, p, labels)
+                assert got.dtype == stored and got.shape == expected.shape, trial
+                assert got.tobytes() == expected.tobytes(), trial
 
 
 def test_fully_forced_domain_skips_elimination(monkeypatch):
