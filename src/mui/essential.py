@@ -24,7 +24,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate, combinations, permutations, product
+from itertools import accumulate, combinations, groupby, product
 
 from . import field
 from .algebra import Element, Ring, ZERO, _merge_ext
@@ -43,6 +43,7 @@ from .linalg import (
     basis_dimension,
     monomial_basis,
     pruned_null_space,
+    rref,
     rref_stack,
 )
 from .steenrod import bockstein_map, power_map
@@ -211,38 +212,44 @@ def _orbit_subgroups(ring: Ring) -> tuple[MaximalSubgroup, ...]:
     return tuple(H for H in maximal_subgroups(ring) if max(H.form) == 1)
 
 
-def _weight_digits(ring: Ring, masks: np.ndarray, pows: np.ndarray) -> np.ndarray:
-    """The torus weight ((eps_i + m_i) mod (p - 1))_i of each monomial a_E x^m
-    given by exterior bitmasks and exponent rows, eps_i the i-th exterior
-    bit, one row each; all 0 at p = 2."""
-    return ((masks[:, None] >> np.arange(ring.n) & 1) + pows) % (ring.p - 1)
-
-
-def _torus_weights(ring: Ring, degree: int, masks: np.ndarray, pows: np.ndarray) -> np.ndarray:
-    """_weight_digits of monomials of one degree as one integer each, in base
+def _torus_weights(ring: Ring, degree: int, digits: np.ndarray) -> np.ndarray:
+    """Torus weights of monomials of one degree, given as digit rows
+    ((eps_i + m_i) mod (p - 1))_i, as one integer each, in base
     min(p - 1, degree + 1), which exceeds every digit."""
     base = min(ring.p - 1, degree + 1)
-    return _weight_digits(ring, masks, pows) @ base ** np.arange(ring.n, dtype=np.int64)
+    return digits @ base ** np.arange(ring.n, dtype=np.int64)
 
 
-def _transported(basis, kernel: np.ndarray, cols: np.ndarray, labels: np.ndarray, p: int) -> list:
+def _placements(digits: list) -> list[tuple]:
+    """One sigma per distinct arrangement w of descending digits, with
+    w[sigma[k]] = digits[k] and equal digits kept in order, the identity
+    first: each run of equal digits in turn takes a set of the positions
+    still free, so no arrangement is met twice."""
+    out = [()]
+    for _, run in groupby(digits):
+        size = len(list(run))
+        out = [s + c for s in out
+               for c in combinations(sorted(set(range(len(digits))) - set(s)), size)]
+    return out
+
+
+def _transported(basis, kernel: np.ndarray, bits: np.ndarray, pows: np.ndarray,
+                 digits: np.ndarray, labels: np.ndarray) -> list:
     """(RREF, sorted positions) blocks of the weights not solved: kernel is
-    the RREF on the basis positions cols of one rank, of descending weights
-    labels.  The rows of weight w0 go to each other arrangement sigma(w0)
-    of its digits by a_i -> a_sigma(i), x_i -> x_sigma(i), with the Koszul
+    the RREF on the full-support monomials of descending weight of one
+    rank, given by exterior bit rows, exponent rows, weight digit rows and
+    weight labels.  The rows of weight w0 go to each other arrangement of
+    its digits by a_i -> a_sigma(i), x_i -> x_sigma(i), with the Koszul
     sign of re-sorting a_E: -1 per pair i < j in E with sigma(i) >
     sigma(j).  Each block is built on its own, never over the whole run."""
-    n = basis.ring.n
-    masks, pows = (a[cols] for a in basis.arrays)
-    bits = masks[:, None] >> np.arange(n) & 1
+    n, p = basis.ring.n, basis.ring.p
     lead = labels[_pivots(kernel)]
     blocks = []
     for label in sorted(set(lead.tolist())):
         on = np.flatnonzero(labels == label)
         rows = kernel[lead == label][:, on]
-        w0 = tuple(_weight_digits(basis.ring, masks[on[:1]], pows[on[:1]])[0].tolist())
-        for w in sorted(set(permutations(w0)) - {w0}):
-            sigma = np.argsort(np.negative(w), kind="stable")
+        for sigma in _placements(digits[on[0]].tolist())[1:]:
+            sigma = np.array(sigma)
             odd = sum((bits[on, i] & bits[on, j] for i, j in combinations(range(n), 2)
                        if sigma[i] > sigma[j]), np.zeros(len(on), dtype=np.int64))
             moved = np.empty_like(pows[on])
@@ -252,13 +259,7 @@ def _transported(basis, kernel: np.ndarray, cols: np.ndarray, labels: np.ndarray
             block = rows[:, order]
             flip = np.flatnonzero(odd[order] & 1)
             block[:, flip] = (p - block[:, flip]) % p
-            # sorted by leading column and scaled to lead with 1, the rows
-            # are often RREF already, which rref_stack checks first
-            first = _pivots(block)
-            by = np.argsort(first)
-            scale = np.array([pow(v, -1, p) for v in block[by, first[by]].tolist()])
-            block = (block[by] * scale[:, None] % p).astype(rows.dtype)
-            blocks.append((rref_stack([block], p, len(on)), tgt[order]))
+            blocks.append((rref(block, p), tgt[order]))
     return blocks
 
 
@@ -293,17 +294,19 @@ def _ess_data(ring: Ring, degree: int):
     cod = monomial_basis(Ring(ring.p, ring.n - 1), degree)
     stored = np.min_scalar_type(ring.p - 1)
     masks, pows = basis.arrays
+    bits = masks[:, None] >> np.arange(ring.n) & 1
+    digits = (bits + pows) % (ring.p - 1)
     # the full-support monomials of descending weight, by basis position
-    reps = np.flatnonzero(((masks[:, None] >> np.arange(ring.n) & 1) + pows > 0).all(axis=1)
-                          & (np.diff(_weight_digits(ring, masks, pows), axis=1) <= 0).all(axis=1))
-    masks, pows = masks[reps], pows[reps]
+    reps = np.flatnonzero((bits + pows > 0).all(axis=1)
+                          & (np.diff(digits, axis=1) <= 0).all(axis=1))
+    masks, bits, pows, digits = masks[reps], bits[reps], pows[reps], digits[reps]
     maps = []
     for H in _orbit_subgroups(ring):
         if sum(H.form) > 1:
             src, tgt_masks, tgt_pows, coef = restriction_map(H, masks, pows)
             maps.append((src.astype(np.int32), cod.positions(tgt_masks, tgt_pows).astype(np.int32),
                          coef.astype(stored)))
-    weights = _torus_weights(ring, degree, masks, pows)
+    weights = _torus_weights(ring, degree, digits)
     blocks = []
     for run in basis.runs.values():
         a, b = np.searchsorted(reps, (run.start, run.stop))
@@ -312,8 +315,8 @@ def _ess_data(ring: Ring, degree: int):
         kernel = pruned_null_space([(src[c:e] - a, tgt[c:e], coef[c:e])
                                     for (src, tgt, coef), (c, e) in zip(maps, cuts)],
                                    b - a, ring.p, weights[a:b])
-        blocks += [(kernel, reps[a:b])] + _transported(basis, kernel, reps[a:b], weights[a:b],
-                                                       ring.p)
+        blocks += [(kernel, reps[a:b])] + _transported(
+            basis, kernel, bits[a:b], pows[a:b], digits[a:b], weights[a:b])
     # the maps go before the whole kernel is assembled, to lower the peak
     del maps
     leads = np.concatenate([np.zeros(0, dtype=np.int64)]

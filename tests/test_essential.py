@@ -273,7 +273,7 @@ def test_steenrod_operations_preserve_torus_weight(p, n):
     for d in range(14):
         masks, pows = monomial_basis(ring, d).arrays
         digits = weight_digits(p, masks, pows)
-        labels = essential._torus_weights(ring, d, masks, pows)
+        labels = essential._torus_weights(ring, d, digits)
         same = (digits[:, None] == digits[None]).all(axis=2)
         assert np.array_equal(labels[:, None] == labels[None], same), d
         maps = [bockstein_map(masks, pows)] + [power_map(k, masks, pows, p) for k in (1, 2, p)]
@@ -353,6 +353,34 @@ def test_ess_basis_is_stable_under_coordinate_permutations(p, n, top):
                       for row in rows]
             image = np.array(images, dtype=np.int64).reshape(len(rows), len(basis))
             assert np.array_equal(reference_rref(image, p), rows), (d, sigma)
+
+
+@pytest.mark.parametrize(
+    "digits", [(0,), (1, 1, 1), (2, 1, 0), (1, 1, 0), (3, 3, 1, 1, 0), (4, 2, 2, 2, 1, 0, 0)]
+)
+def test_placements_give_each_arrangement_once(digits):
+    # sigma places digit k at position sigma[k]: every distinct arrangement
+    # of the descending digits comes once, the identity first, and equal
+    # digits keep their order
+    placed = essential._placements(list(digits))
+    assert placed[0] == tuple(range(len(digits)))
+    arranged = []
+    for sigma in placed:
+        w = [None] * len(digits)
+        for k, at in enumerate(sigma):
+            w[at] = digits[k]
+        arranged.append(tuple(w))
+        for k in range(len(digits) - 1):
+            assert digits[k] != digits[k + 1] or sigma[k] < sigma[k + 1], sigma
+    assert sorted(arranged) == sorted(set(permutations(digits)))
+
+
+def test_placements_of_one_repeated_digit_never_enumerate_all_orderings():
+    # a weight with one digit value has nothing to carry over; at n = 12 a
+    # set of all 12! (about 4.8e8) orderings takes most of a minute
+    with time_limit(5):
+        assert essential._placements([1] * 12) == [tuple(range(12))]
+        assert len(essential._placements([1] * 6 + [0] * 6)) == math.comb(12, 6)
 
 
 @pytest.mark.parametrize(
