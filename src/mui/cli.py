@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .algebra import Element, Ring, monomial_degree
@@ -33,6 +34,15 @@ def _check_degree(ring: Ring, y: Element, extra: int = 0) -> None:
     dense-basis cap is left to the verbs that build a basis."""
     top = max((monomial_degree(ext, pows, ring.p) for ext, pows in y.terms), default=0)
     check_degree(top + extra)
+
+
+def _integers(items: list[str], flag: str) -> tuple[int, ...]:
+    """The integers of the comma-separated items of --flag, or an error that
+    names it."""
+    try:
+        return tuple(map(int, items))
+    except ValueError:
+        raise ValueError(f"--{flag} takes comma-separated integers, not {','.join(items)!r}") from None
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -101,7 +111,7 @@ def _cmd_invariant(args) -> int:
     else:
         subset = {"L": (), "M": (args.s,)}.get(args.kind)
         if subset is None:
-            subset = tuple(int(t) for t in args.S.split(",") if t.strip())
+            subset = _integers([t for t in args.S.split(",") if t.strip()], "S")
         check_degree(subset_degree(ring, subset))
         result = l_n(ring) if args.kind == "L" else mui_set(ring, subset)
     print(json.dumps({"element": str(result)}) if args.json else result)
@@ -121,7 +131,7 @@ def _cmd_apply(args) -> int:
 def _cmd_restrict(args) -> int:
     ring = _ring(args)
     # MaximalSubgroup refuses a zero form or one of the wrong length
-    form = tuple(int(t) % ring.p for t in args.form.split(","))
+    form = tuple(c % ring.p for c in _integers(args.form.split(","), "form"))
     lead = next((c for c in form if c), 1)
     H = MaximalSubgroup(ring, tuple(c * pow(lead, -1, ring.p) % ring.p for c in form))
     y = ring.parse(args.element)
@@ -212,8 +222,14 @@ def main(argv: list[str] | None = None) -> int:
     # ParseError and ConfigError are ValueErrors; RuntimeError is the
     # closure dimension cap; a bare MemoryError has an empty message
     try:
-        return _COMMANDS[args.command](args)
-    except (ValueError, ZeroDivisionError, RuntimeError, MemoryError) as exc:
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except (BrokenPipeError, ValueError, ZeroDivisionError, RuntimeError, MemoryError) as exc:
+        if isinstance(exc, BrokenPipeError):
+            # the reader closed early; stdout goes to devnull, so that the
+            # interpreter's last flush cannot fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 

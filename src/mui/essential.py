@@ -7,15 +7,16 @@ x_pivot -> -sum_{i > pivot} form_i x_i (a_pivot likewise) at the form's
 leading coordinate, the other generators renumbered in order, stated once
 as restriction_map on runs of monomials.  The essential classes of one
 degree are the joint kernel of all restrictions, computed with exact linear
-algebra one exterior rank and one torus weight at a time.  The coordinate
-hyperplanes confine it to the full-support monomials.  The diagonal torus T
-of GL_n(F_p) permutes the maximal subgroups and scales each monomial
-a_E x^m by the character of its weight ((eps_i + m_i) mod (p - 1))_i;
-|T| = (p - 1)^n is prime to p, so (Maschke) the GL_n-stable essential
-ideal is the direct sum of its weight parts, and on one weight space one
-subgroup per T-orbit, the 0/1 forms, gives the whole kernel.  The
-coordinate permutations sigma in S_n carry the weight-w part onto the
-sigma(w) part, so one weight per S_n-orbit is solved.
+algebra one (exterior rank, torus weight) block at a time, one
+linalg.pruned_null_space call each.  The coordinate hyperplanes confine it
+to the full-support monomials.  The diagonal torus T of GL_n(F_p)
+permutes the maximal subgroups and scales each monomial a_E x^m by the
+character of its weight ((eps_i + m_i) mod (p - 1))_i; |T| = (p - 1)^n is
+prime to p, so (Maschke) the GL_n-stable essential ideal is the direct sum
+of its weight parts, and on one weight space one subgroup per T-orbit, the
+0/1 forms, gives the whole kernel.  The coordinate permutations sigma in
+S_n carry the weight-w part onto the sigma(w) part, so one weight per
+S_n-orbit is solved.
 """
 
 from __future__ import annotations
@@ -212,14 +213,6 @@ def _orbit_subgroups(ring: Ring) -> tuple[MaximalSubgroup, ...]:
     return tuple(H for H in maximal_subgroups(ring) if max(H.form) == 1)
 
 
-def _torus_weights(ring: Ring, degree: int, digits: np.ndarray) -> np.ndarray:
-    """Torus weights of monomials of one degree, given as digit rows
-    ((eps_i + m_i) mod (p - 1))_i, as one integer each, in base
-    min(p - 1, degree + 1), which exceeds every digit."""
-    base = min(ring.p - 1, degree + 1)
-    return digits @ base ** np.arange(ring.n, dtype=np.int64)
-
-
 def _placements(digits: list) -> list[tuple]:
     """One sigma per distinct arrangement w of descending digits, with
     w[sigma[k]] = digits[k] and equal digits kept in order, the identity
@@ -234,32 +227,26 @@ def _placements(digits: list) -> list[tuple]:
 
 
 def _transported(basis, kernel: np.ndarray, bits: np.ndarray, pows: np.ndarray,
-                 digits: np.ndarray, labels: np.ndarray) -> list:
+                 digits: list) -> list:
     """(RREF, sorted positions) blocks of the weights not solved: kernel is
-    the RREF on the full-support monomials of descending weight of one
-    rank, given by exterior bit rows, exponent rows, weight digit rows and
-    weight labels.  The rows of weight w0 go to each other arrangement of
-    its digits by a_i -> a_sigma(i), x_i -> x_sigma(i), with the Koszul
-    sign of re-sorting a_E: -1 per pair i < j in E with sigma(i) >
-    sigma(j).  Each block is built on its own, never over the whole run."""
+    the RREF on the full-support monomials of one rank and one descending
+    weight w0, given by exterior bit rows and exponent rows, and digits
+    are those of w0.  The rows go to each other arrangement of the digits
+    by a_i -> a_sigma(i), x_i -> x_sigma(i), with the Koszul sign of
+    re-sorting a_E: -1 per pair i < j in E with sigma(i) > sigma(j)."""
     n, p = basis.ring.n, basis.ring.p
-    lead = labels[_pivots(kernel)]
     blocks = []
-    for label in sorted(set(lead.tolist())):
-        on = np.flatnonzero(labels == label)
-        rows = kernel[lead == label][:, on]
-        for sigma in _placements(digits[on[0]].tolist())[1:]:
-            sigma = np.array(sigma)
-            odd = sum((bits[on, i] & bits[on, j] for i, j in combinations(range(n), 2)
-                       if sigma[i] > sigma[j]), np.zeros(len(on), dtype=np.int64))
-            moved = np.empty_like(pows[on])
-            moved[:, sigma] = pows[on]
-            tgt = basis.positions(bits[on] @ (1 << sigma), moved)
-            order = np.argsort(tgt)
-            block = rows[:, order]
-            flip = np.flatnonzero(odd[order] & 1)
-            block[:, flip] = (p - block[:, flip]) % p
-            blocks.append((rref(block, p), tgt[order]))
+    # an empty kernel has nothing to carry over
+    for sigma in _placements(digits)[1:] if len(kernel) else ():
+        sigma = np.array(sigma)
+        odd = sum((bits[:, i] & bits[:, j] for i, j in combinations(range(n), 2)
+                   if sigma[i] > sigma[j]), np.zeros(len(bits), dtype=np.int64))
+        tgt = basis.positions(bits @ (1 << sigma), pows[:, np.argsort(sigma)])
+        order = np.argsort(tgt)
+        block = kernel[:, order]
+        flip = np.flatnonzero(odd[order] & 1)
+        block[:, flip] = (p - block[:, flip]) % p
+        blocks.append((rref(block, p), tgt[order]))
     return blocks
 
 
@@ -279,44 +266,45 @@ def _ess_data(ring: Ring, degree: int):
     x_i -> x_sigma(i), permutes the maximal subgroups, so it carries the
     weight-w part onto the sigma(w) part.
 
-    So restriction_map runs once per 0/1 form of support at least 2, on the
-    full-support monomials of descending weight, one weight per S_n-orbit,
-    its targets located by DegreeBasis.positions, as int32.  Restriction
-    preserves exterior rank: per rank run, one pruned_null_space of the
-    slices of the maps, columns classed by weight, and _transported for the
-    other weights.  At p = 2 only the hyperplanes cut.  The blocks are RREF
-    on disjoint columns, so merged by leading column they are the RREF of
-    the whole kernel; the ranks are contiguous runs in basis order, so the
-    rank spans are row slices of it."""
-    if ring.n < 1:
-        raise ValueError("rank must be at least 1")
+    So the full-support monomials of descending weight, one weight per
+    S_n-orbit, are sorted stably by (exterior rank, weight), and
+    restriction_map runs once per 0/1 form of support at least 2 on them,
+    its targets located by DegreeBasis.positions, as int32.  Its entries
+    come in order of source, so each (rank, weight) block is one slice of
+    each map.  Restriction preserves exterior rank, and the kernel is the
+    sum of its weight parts: one pruned_null_space per block, and
+    _transported for the other weights of its S_n-orbit.  At p = 2 there is one weight, and only the hyperplanes
+    cut.  The blocks are RREF on disjoint columns, so merged by leading
+    column they are the RREF of the whole kernel; the ranks are contiguous
+    runs in basis order, so the rank spans are row slices of it."""
+    # maximal_subgroups refuses rank 0
+    subgroups = [H for H in _orbit_subgroups(ring) if sum(H.form) > 1]
     basis = monomial_basis(ring, degree)
     cod = monomial_basis(Ring(ring.p, ring.n - 1), degree)
     stored = np.min_scalar_type(ring.p - 1)
     masks, pows = basis.arrays
     bits = masks[:, None] >> np.arange(ring.n) & 1
+    # the full-support monomials of descending weight, sorted stably by
+    # (rank, weight): each (rank, weight) block runs from one bound to the next
     digits = (bits + pows) % (ring.p - 1)
-    # the full-support monomials of descending weight, by basis position
     reps = np.flatnonzero((bits + pows > 0).all(axis=1)
                           & (np.diff(digits, axis=1) <= 0).all(axis=1))
+    reps = reps[np.lexsort((*digits[reps].T[::-1], bits[reps].sum(axis=1)))]
     masks, bits, pows, digits = masks[reps], bits[reps], pows[reps], digits[reps]
+    cuts = np.flatnonzero(np.diff(bits.sum(axis=1)) | np.diff(digits, axis=0).any(axis=1)) + 1
+    bounds = [0, *cuts.tolist(), len(reps)] if len(reps) else []
     maps = []
-    for H in _orbit_subgroups(ring):
-        if sum(H.form) > 1:
-            src, tgt_masks, tgt_pows, coef = restriction_map(H, masks, pows)
-            maps.append((src.astype(np.int32), cod.positions(tgt_masks, tgt_pows).astype(np.int32),
-                         coef.astype(stored)))
-    weights = _torus_weights(ring, degree, digits)
+    for H in subgroups:
+        src, tgt_masks, tgt_pows, coef = restriction_map(H, masks, pows)
+        # in order of source, so each block is one slice of each map
+        maps.append((src.astype(np.int32), cod.positions(tgt_masks, tgt_pows).astype(np.int32),
+                     coef.astype(stored), np.searchsorted(src, bounds).tolist()))
     blocks = []
-    for run in basis.runs.values():
-        a, b = np.searchsorted(reps, (run.start, run.stop))
-        # the entries come in order of source, so a run is one slice of each map
-        cuts = [np.searchsorted(src, (a, b)) for src, _, _ in maps]
-        kernel = pruned_null_space([(src[c:e] - a, tgt[c:e], coef[c:e])
-                                    for (src, tgt, coef), (c, e) in zip(maps, cuts)],
-                                   b - a, ring.p, weights[a:b])
-        blocks += [(kernel, reps[a:b])] + _transported(
-            basis, kernel, bits[a:b], pows[a:b], digits[a:b], weights[a:b])
+    for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        kernel = pruned_null_space([(src[c[i]:c[i + 1]] - a, tgt[c[i]:c[i + 1]], coef[c[i]:c[i + 1]])
+                                    for src, tgt, coef, c in maps], b - a, ring.p)
+        blocks += [(kernel, reps[a:b])] + _transported(basis, kernel, bits[a:b], pows[a:b],
+                                                       digits[a].tolist())
     # the maps go before the whole kernel is assembled, to lower the peak
     del maps
     leads = np.concatenate([np.zeros(0, dtype=np.int64)]

@@ -132,7 +132,8 @@ def dickson(ring: Ring, r: int) -> Element:
 def dickson_degree(ring: Ring, r: int) -> int:
     """Total degree of c_{n,r}, that of x^(p^n - p^r), for 0 <= r < n."""
     if not 0 <= r < ring.n:
-        raise ValueError(f"Dickson index {r} out of range 0..{ring.n - 1}")
+        raise ValueError(f"Dickson index {r} out of range 0..{ring.n - 1}" if ring.n
+                         else "rank must be at least 1")
     return monomial_degree((), (ring.p**ring.n - ring.p**r,), ring.p)
 
 
@@ -154,7 +155,7 @@ def _normalize_subset(ring: Ring, subset) -> tuple[int, ...]:
 
 def _check_row(ring: Ring, s: int) -> None:
     if not 1 <= s <= ring.n:
-        raise ValueError(f"index {s} out of range 1..{ring.n}")
+        raise ValueError(f"index {s} out of range 1..{ring.n}" if ring.n else "rank must be at least 1")
 
 
 def _require_odd(ring: Ring) -> None:

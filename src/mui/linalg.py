@@ -504,78 +504,48 @@ def span_of(ring: Ring, degree: int, elements) -> DegreeSpan:
                       rref(np.array(rows, dtype=np.int64).reshape(len(rows), len(basis)), ring.p))
 
 
-def pruned_null_space(maps, width: int, p: int, classes=None) -> np.ndarray:
+def pruned_null_space(maps, width: int, p: int) -> np.ndarray:
     """RREF basis of the joint kernel of linear maps on F_p^width, each
     (source, target, coefficient) arrays with no (source, target) pair twice
     and each coefficient nonzero mod p.  The arrays keep their dtypes.
 
-    classes, when given, labels each column with an integer, and the kernel
-    is the direct sum over the labels of the joint kernels on the columns of
-    one label; without it every column has one label.  Map k fills rows
-    k * height + target, height one more than the largest target, and each
-    row splits into one row per label, row id plus label times
-    len(maps) * height (int64 if the row dtype cannot hold that); ids
-    spread past four times the entry count are renumbered by np.unique.
+    Map k fills rows k * height + target, height one more than the largest
+    target (int64 if the row dtype cannot hold len(maps) * height); the
+    row counts take len(maps) * height cells.
     First, as in structured Gaussian elimination (LaMacchia and Odlyzko,
     CRYPTO '90), each row with one entry on the live columns forces that
     coordinate to 0, until none is left.  When no entry is left, the kernel
-    is the identity on the live columns.  Otherwise each label with a live
-    column fills one dense block, its rows with a live entry in order of id
-    by its live columns in order, and null_space takes it.  Zero columns
-    put back into the RREF of a block's kernel keep it RREF, and the
-    blocks' kernels have disjoint supports: merged by leading column, they
-    are the RREF of the whole kernel."""
-    cls = (np.zeros(width, dtype=np.intp) if classes is None
-           else np.unique(classes, return_inverse=True)[1].reshape(width))
-    labels = int(cls.max(initial=0)) + 1
+    is the identity on the live columns.  Otherwise the rows with a live
+    entry, in order of id, by the live columns, in order, fill one dense
+    block, and null_space takes it; zero columns put back into the RREF of
+    its kernel keep it RREF."""
     maps, stored = list(maps), np.min_scalar_type(p - 1)
     empty = np.zeros(0, dtype=np.uint8)
     col, row, val = (np.concatenate(parts) for parts in zip((empty,) * 3, *maps))
     height = int(row.max(initial=0)) + 1
-    stride = len(maps) * height
-    wide = np.int64 if labels * stride > np.iinfo(row.dtype).max else row.dtype
+    wide = np.int64 if len(maps) * height > np.iinfo(row.dtype).max else row.dtype
     row = row + (np.arange(len(maps), dtype=wide) * height).repeat([len(src) for src, _, _ in maps])
-    row += (cls.astype(wide) * stride)[col]
-    if labels * stride > 4 * len(row):
-        row = np.unique(row, return_inverse=True)[1].reshape(len(row))
     live = np.ones(width, dtype=bool)
     while len(forced := col[np.bincount(row)[row] == 1]):
         live[forced] = False
         keep = live[col]
         row, col, val = row[keep], col[keep], val[keep]
+    cols = live.nonzero()[0]
     if not len(row):
-        cols = live.nonzero()[0]
         kernel = np.zeros((len(cols), width), dtype=stored)
         kernel[np.arange(len(cols)), cols] = 1
         return kernel
-    # the live rows, numbered in order of id (so label-major), and the live
-    # columns by label, each numbered within its label
-    row = (np.bincount(row) > 0).cumsum()[row] - 1
-    row_label = np.zeros(row.max(initial=-1) + 1, dtype=np.intp)
-    row_label[row] = cls[col]
-    cols = live.nonzero()[0]
-    cols = cols[cls[cols].argsort(kind="stable")]
-    rows_of, cols_of = np.bincount(row_label, minlength=labels), np.bincount(cls[cols], minlength=labels)
-    first_row, first_col = rows_of.cumsum() - rows_of, cols_of.cumsum() - cols_of
-    col_at = np.zeros(width, dtype=np.intp)
-    col_at[cols] = np.arange(len(cols)) - first_col.repeat(cols_of)
-    # one buffer holds the blocks row-major, row r from cell row_at[r] on
-    row_at = np.concatenate([[0], cols_of[row_label].cumsum()])
-    cells = np.zeros(row_at[-1], dtype=stored)
-    cells[row_at[row] + col_at[col]] = val % p
-    # the entries go before the blocks are reduced, and the blocks before
-    # their kernels are merged, to lower the peak
+    hit = np.bincount(row) > 0
+    block = np.zeros((hit.sum(), len(cols)), dtype=stored)
+    block[hit.cumsum()[row] - 1, live.cumsum()[col] - 1] = val % p
+    # the entries go before the block is reduced, and the block before the
+    # kernel is allocated, to lower the peak
     del row, col, val
-    subs = [(null_space(cells[row_at[r]:row_at[r + n]].reshape(n, k), p), cols[f:f + k])
-            for r, n, f, k in zip(*(a.tolist() for a in (first_row, rows_of, first_col, cols_of))) if k]
-    del cells
-    kernel = np.zeros((sum(len(sub) for sub, _ in subs), width), dtype=stored)
-    at = 0
-    for sub, on in subs:
-        kernel[at:at + len(sub), on] = sub
-        at += len(sub)
-    # a lone block's kernel is RREF already; several merge by leading column
-    return kernel[_pivots(kernel).argsort()] if len(subs) > 1 else kernel
+    sub = null_space(block, p)
+    del block
+    kernel = np.zeros((len(sub), width), dtype=stored)
+    kernel[:, cols] = sub
+    return kernel
 
 
 class SpanBuilder:

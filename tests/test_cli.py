@@ -1,5 +1,9 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 from mui import CLAIMS, Ring
 from mui import cli, essential
@@ -252,8 +256,37 @@ def test_rank_zero_never_dumps_a_traceback(capsys):
     for argv in [("ess-basis", "--degree", "2", "--p", "2", "--n", "0"),
                  ("verify", "--p", "3", "--n", "0", "--max-degree", "2", "--claims", "thm:free"),
                  ("verify", "--p", "3", "--n", "0", "--max-degree", "2", "--claims",
-                  "remark:fundamental")]:
+                  "remark:fundamental"),
+                 ("invariant", "dickson", "--p", "3", "--n", "0", "--r", "0"),
+                 ("invariant", "M", "--p", "3", "--n", "0", "--s", "1")]:
         assert run_cli(capsys, *argv) == (2, "", "error: rank must be at least 1\n")
+
+
+def test_list_flags_name_themselves_when_refused(capsys):
+    assert run_cli(capsys, "invariant", "Mset", "--p", "3", "--n", "2", "--S", "a") == (
+        2, "", "error: --S takes comma-separated integers, not 'a'\n")
+    assert run_cli(capsys, "restrict", "1", "--p", "3", "--n", "2", "--form", "") == (
+        2, "", "error: --form takes comma-separated integers, not ''\n")
+
+
+def test_reader_closing_early_exits_two_without_a_traceback():
+    # 247 KB of output, far past a pipe's buffer: the child is still
+    # writing when the reader closes after one line
+    root = Path(__file__).parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "mui.cli", "ess-basis", "--p", "5", "--n", "4", "--degree", "40"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert child.stdout.readline() == "dim 1890\n"
+    child.stdout.close()
+    err = child.stderr.read()
+    assert child.wait(timeout=120) == 2
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_element_round_trip_through_cli_grammar():

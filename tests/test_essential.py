@@ -267,15 +267,11 @@ def test_restriction_vanishes_on_a_whole_torus_orbit_or_on_none(p, n, top):
 @pytest.mark.parametrize("p,n", [(3, 2), (3, 3), (5, 2), (5, 3), (7, 2)])
 def test_steenrod_operations_preserve_torus_weight(p, n):
     # x_i and a_i both have weight e_i, beta a_i = x_i, and P^k sends x_i^m
-    # to a multiple of x_i^(m + k (p - 1)); _torus_weights labels two
-    # monomials of one degree alike exactly when their weights agree
+    # to a multiple of x_i^(m + k (p - 1))
     ring = Ring(p, n)
     for d in range(14):
         masks, pows = monomial_basis(ring, d).arrays
         digits = weight_digits(p, masks, pows)
-        labels = essential._torus_weights(ring, d, digits)
-        same = (digits[:, None] == digits[None]).all(axis=2)
-        assert np.array_equal(labels[:, None] == labels[None], same), d
         maps = [bockstein_map(masks, pows)] + [power_map(k, masks, pows, p) for k in (1, 2, p)]
         for src, tgt_masks, tgt_pows, _ in maps:
             assert np.array_equal(weight_digits(p, tgt_masks, tgt_pows), digits[src]), d
@@ -320,6 +316,56 @@ def test_ess_data_restricts_to_one_subgroup_per_torus_orbit(p, n, top, monkeypat
             if p == 2:
                 assert tuple(H for H, _, _ in calls) == tuple(
                     H for H in maximal_subgroups(ring) if sum(H.form) >= 2)
+    finally:
+        essential._ess_data.cache_clear()
+
+
+@pytest.mark.parametrize("p,n,degrees", [(3, 3, range(13)), (5, 2, range(13)), (3, 4, (15, 16))])
+def test_ess_data_solves_one_rank_weight_block_per_call(p, n, degrees, monkeypatch):
+    # each pruned_null_space call gets the maps and the width only, and its
+    # columns are the full-support monomials of descending weight of one
+    # (rank, weight), in basis order: its maps are the restriction maps of
+    # exactly those monomials, and every such (rank, weight) has one call
+    ring = Ring(p, n)
+    calls = []
+    real = essential.pruned_null_space
+
+    def spy(*args, **kwargs):
+        assert not kwargs and len(args) == 3
+        calls.append(args[:2])
+        return real(*args)
+
+    def signature(maps, width):
+        return width, tuple(tuple(np.asarray(part, dtype=np.int64).tobytes() for part in m)
+                            for m in maps)
+
+    subgroups = [H for H in essential._orbit_subgroups(ring) if sum(H.form) > 1]
+    monkeypatch.setattr(essential, "pruned_null_space", spy)
+    essential._ess_data.cache_clear()
+    try:
+        total = 0
+        for d in degrees:
+            calls.clear()
+            ess_basis(ring, d)
+            masks, pows = monomial_basis(ring, d).arrays
+            bits = masks[:, None] >> np.arange(n) & 1
+            digits = weight_digits(p, masks, pows)
+            reps = (bits + pows > 0).all(axis=1) & (np.diff(digits, axis=1) <= 0).all(axis=1)
+            blocks = {}
+            for i in np.flatnonzero(reps).tolist():
+                blocks.setdefault((int(bits[i].sum()), tuple(digits[i])), []).append(i)
+            cod = monomial_basis(Ring(p, n - 1), d)
+            expected = []
+            for on in blocks.values():
+                maps = []
+                for H in subgroups:
+                    src, tgt_masks, tgt_pows, coef = essential.restriction_map(H, masks[on], pows[on])
+                    maps.append((src, cod.positions(tgt_masks, tgt_pows), coef))
+                expected.append(signature(maps, len(on)))
+            assert sorted(signature(*call) for call in calls) == sorted(expected), d
+            total += len(calls)
+        if n == 4:
+            assert total == 13
     finally:
         essential._ess_data.cache_clear()
 

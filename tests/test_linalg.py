@@ -316,10 +316,10 @@ def test_pruned_null_space_of_unreduced_products(p):
 
 @pytest.mark.parametrize("p", [2, 3, 251])
 def test_one_label_dense_block_is_the_live_rows_and_columns(p, monkeypatch):
-    # with no classes, or one label, the dense phase is one null_space call
-    # (none when no live entry is left) on the rows with a live entry by
-    # the live columns, both in order: the block reference_pruned_null_space
-    # reduces, in the storage dtype
+    # the dense phase is one null_space call (none when no live entry is
+    # left) on the rows with a live entry by the live columns, both in
+    # order: the block reference_pruned_null_space reduces, in the storage
+    # dtype
     got, expected = [], []
     monkeypatch.setattr(linalg, "null_space", lambda m, p: got.append(m.copy()) or null_space(m, p))
     monkeypatch.setattr(helpers, "null_space", lambda m, p: expected.append(m) or null_space(m, p))
@@ -330,14 +330,13 @@ def test_one_label_dense_block_is_the_live_rows_and_columns(p, monkeypatch):
         mat = sparse_with_cascade(rng, p, n_rows, n_cols, chain)
         maps = as_maps(mat, rng.randrange(1, n_rows + 1), rng.choice((1, 7)))
         reference = reference_pruned_null_space(mat, p)
-        for classes in (None, np.full(n_cols, rng.choice((-2, 0, 9)))):
-            got.clear()
-            kernel = linalg.pruned_null_space(maps, n_cols, p, classes)
-            assert len(got) == len(expected) <= 1, trial
-            for block, ref in zip(got, expected):
-                assert block.dtype == np.min_scalar_type(p - 1)
-                assert block.shape == ref.shape and np.array_equal(block, ref % p), trial
-            assert np.array_equal(kernel.astype(np.int64), reference), trial
+        kernel = linalg.pruned_null_space(maps, n_cols, p)
+        assert len(got) == len(expected) <= 1, trial
+        for block, ref in zip(got, expected):
+            assert block.dtype == np.min_scalar_type(p - 1)
+            assert block.shape == ref.shape and np.array_equal(block, ref % p), trial
+        assert np.array_equal(kernel.astype(np.int64), reference), trial
+        got.clear()
         expected.clear()
 
 
@@ -346,7 +345,7 @@ def test_pruned_null_space_with_no_entry_left_is_the_identity(p, monkeypatch):
     # when the pruning leaves no entry (every row a link of a cascade), or
     # there is no map at all, no dense block is formed: the kernel is the
     # identity on the live columns, byte for byte what the reference gives
-    # in the storage dtype, with or without classes
+    # in the storage dtype
     def refuse(mat, p):
         raise AssertionError("null_space called with no entry left")
 
@@ -358,14 +357,12 @@ def test_pruned_null_space_with_no_entry_left_is_the_identity(p, monkeypatch):
         chain = rng.sample(range(n_cols), rng.randrange(n_cols + 1))
         mat = sparse_with_cascade(rng, p, len(chain), n_cols, chain)
         expected = reference_pruned_null_space(mat, p).astype(stored)
-        classes = np.array([rng.randrange(3) for _ in range(n_cols)], dtype=np.int64)
         for maps in (as_maps(mat, rng.randrange(1, len(chain) + 2)), []):
             if not maps:
                 expected = reference_pruned_null_space(np.zeros((0, n_cols)), p).astype(stored)
-            for labels in (None, classes):
-                got = linalg.pruned_null_space(maps, n_cols, p, labels)
-                assert got.dtype == stored and got.shape == expected.shape, trial
-                assert got.tobytes() == expected.tobytes(), trial
+            got = linalg.pruned_null_space(maps, n_cols, p)
+            assert got.dtype == stored and got.shape == expected.shape, trial
+            assert got.tobytes() == expected.tobytes(), trial
 
 
 def test_fully_forced_domain_skips_elimination(monkeypatch):
@@ -395,9 +392,8 @@ def as_maps(mat, height, spread=1, dtype=np.int64):
 
 
 def classed_reference(mat, classes, p):
-    """Reference for pruned_null_space with column classes: the direct sum of
-    reference_pruned_null_space over the column blocks of each class, brought
-    to RREF by reference_rref."""
+    """The direct sum of reference_pruned_null_space over the column blocks
+    of each class, brought to RREF by reference_rref."""
     parts = [np.zeros((0, mat.shape[1]), dtype=np.int64)]
     for label in np.unique(classes):
         on = np.flatnonzero(classes == label)
@@ -410,9 +406,9 @@ def classed_reference(mat, classes, p):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 251, 257])
 def test_pruned_null_space_with_classes_is_the_direct_sum(p, monkeypatch):
-    # a row meeting two classes splits in two, and either half may be a
-    # singleton that forces its column; labels are any integers; the storage
-    # dtype is uint8 at 251 and uint16 at 257
+    # columns in classes that no row meets two of: the kernel is the direct
+    # sum of the kernels on each class, from one dense block at most; the
+    # storage dtype is uint8 at 251 and uint16 at 257
     stored = np.min_scalar_type(p - 1)
     blocks = []
     monkeypatch.setattr(linalg, "null_space",
@@ -424,26 +420,19 @@ def test_pruned_null_space_with_classes_is_the_direct_sum(p, monkeypatch):
         mat = sparse_with_cascade(rng, p, n_rows, n_cols, chain)
         classes = np.array([rng.choice((-3, 7, 1000, 2**40)[:1 + trial % 4])
                             for _ in range(n_cols)])
+        row_classes = np.array([rng.choice(classes) for _ in range(n_rows)])
+        mat[row_classes[:, None] != classes] = 0
         blocks.clear()
-        got = linalg.pruned_null_space(as_maps(mat, rng.randrange(1, n_rows + 1)), n_cols, p,
-                                       classes)
+        got = linalg.pruned_null_space(as_maps(mat, rng.randrange(1, n_rows + 1)), n_cols, p)
         assert got.dtype == stored
         assert np.array_equal(got.astype(np.int64), classed_reference(mat, classes, p)), trial
-        # at most one dense block per class
-        assert len(blocks) <= len(np.unique(classes))
-
-    # one class, whatever its label: byte for byte the call without classes
-    for label in (0, -5, 2**40):
-        mat = sparse_with_cascade(rng, p, 25, 14, rng.sample(range(14), 4))
-        maps = as_maps(mat, 10)
-        plain = linalg.pruned_null_space(maps, 14, p)
-        classed = linalg.pruned_null_space(maps, 14, p, np.full(14, label))
-        assert plain.dtype == classed.dtype and plain.tobytes() == classed.tobytes()
+        assert len(blocks) <= 1
 
     # class 1 is forced column by column (its first row a singleton, each
     # later one a singleton once the column before is gone), class 2 has no
     # entry at all, and class 3 is a cycle with no singleton row, one of
-    # its rows also meeting class 1: dense blocks for classes 2 and 3 only
+    # its rows also meeting class 1: once class 1 is forced, one dense block
+    # of the cycle rows by the columns of classes 2 and 3
     mat = np.zeros((9, 12), dtype=np.int64)
     classes = np.array([1] * 4 + [2] * 3 + [3] * 5)
     mat[:4, :4] = sparse_with_cascade(rng, p, 4, 4, [0, 1, 2, 3])
@@ -451,35 +440,29 @@ def test_pruned_null_space_with_classes_is_the_direct_sum(p, monkeypatch):
         mat[4 + i, [7 + i, 7 + (i + 1) % 5]] = [1, p - 1]
     mat[4, 0] = 1
     blocks.clear()
-    got = linalg.pruned_null_space(as_maps(mat, 5), 12, p, classes)
-    assert [shape[1] for shape in blocks] == [3, 5]
+    got = linalg.pruned_null_space(as_maps(mat, 5), 12, p)
+    assert blocks == [(5, 8)]
     assert not got[:, :4].any()
     assert np.array_equal(got[:, 4:7][got[:, 4:7].any(axis=1)], np.eye(3, dtype=stored))
     assert np.array_equal(got.astype(np.int64), classed_reference(mat, classes, p))
 
 
-def test_pruned_null_space_widens_class_map_height_row_ids():
-    # int32 targets whose height times the maps fits int32, but not times
-    # the classes as well: the row ids are numbered in int64, over the
-    # entries only, and nothing the size of that product is allocated
+def test_pruned_null_space_widens_map_height_row_ids():
+    # int16 targets whose height fits int16, but not times the number of
+    # maps: the row ids are numbered in int64.  The targets of map k are
+    # r + shift[k]: height 2^15 - 1, and ids wrapped to int16 would merge
+    # row r of map 2 with row r of map 0
     p = 5
     rng = random.Random(3)
-    mat = sparse_with_cascade(rng, p, 16, 12, rng.sample(range(12), 3))
-    classes = np.arange(12) % 3
-    mat[7, 5], mat[15, 6] = 1, 2
-    spread = 2**27
-    maps = as_maps(mat, 8, spread, np.int32)
-    height = 7 * spread + 1
-    assert len(maps) * height < 2**31 - 1 < 3 * len(maps) * height
-    tracemalloc.start()
-    try:
-        got = linalg.pruned_null_space(maps, 12, p, classes)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20, peak
-    assert np.array_equal(got.astype(np.int64), classed_reference(mat, classes, p))
-    assert np.array_equal(got, linalg.pruned_null_space(as_maps(mat, 8), 12, p, classes))
+    mat = sparse_with_cascade(rng, p, 24, 20, rng.sample(range(20), 3))
+    mat[7, 5], mat[15, 6], mat[23, 2] = 1, 2, 3
+    maps = [(src, tgt + shift, val)
+            for (src, tgt, val), shift in zip(as_maps(mat, 8, 1, np.int16), (0, 2**15 - 9, 2))]
+    height = max(int(tgt.max()) for _, tgt, _ in maps) + 1
+    assert height == 2**15 - 1 and all(tgt.dtype == np.int16 for _, tgt, _ in maps)
+    got = linalg.pruned_null_space(maps, 20, p)
+    assert np.array_equal(got.astype(np.int64), reference_pruned_null_space(mat, p))
+    assert np.array_equal(got, linalg.pruned_null_space(as_maps(mat, 8), 20, p))
 
 
 def test_rank_nullity():
