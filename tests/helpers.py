@@ -21,6 +21,8 @@ from mui.essential import MaximalSubgroup, ess_basis, is_essential, maximal_subg
 from mui.invariants import (
     _check_row,
     _normalize_subset,
+    _others,
+    _power_det,
     _power_entry,
     _require_odd,
     product_sign,
@@ -213,6 +215,13 @@ def reference_dickson(ring: Ring, r: int) -> Element:
     """c_{n,r}: the coefficient of X^(p^r) in the expansion, times (-1)^(n-r)."""
     coef = fundamental_product(ring).get(ring.p**r, ring.zero())
     return coef if (ring.n - r) % 2 == 0 else -coef
+
+
+def reference_moore_dickson(ring: Ring, r: int) -> Element:
+    """c_{n,r} as the Moore quotient: the determinant of power rows p^0..p^n
+    with row p^r left out, divided exactly by L_n (Element.exact_divide)."""
+    rows = tuple(s for s in range(1, ring.n + 2) if s != r + 1)
+    return _power_det(ring, rows, _others(ring)).exact_divide(l_n(ring))
 
 
 def reference_mul(u: Element, v: Element) -> Element:

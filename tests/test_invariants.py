@@ -1,4 +1,9 @@
+import os
+import subprocess
+import sys
+import tracemalloc
 from itertools import product as iproduct
+from pathlib import Path
 
 import pytest
 
@@ -13,12 +18,15 @@ from mui import (
     mui_set,
     product_sign,
 )
+from mui import invariants
+from mui.algebra import Element
 from mui.invariants import dickson_degree, subset_degree
 from helpers import (
     all_subsets,
     fundamental_product,
     reference_complement_sign,
     reference_dickson,
+    reference_moore_dickson,
     reference_l_n,
     reference_minor,
     reference_mui,
@@ -245,3 +253,80 @@ def test_bottom_dickson_is_l_to_the_p_minus_1():
     # classical: c_{n,0} = L_n^(p-1)
     for ring in (R32, Ring(2, 2), Ring(2, 3)):
         assert dickson(ring, 0) == l_n(ring) ** (ring.p - 1)
+
+
+@pytest.mark.parametrize(
+    "p,n",
+    [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3), (3, 4),
+     (5, 1), (5, 2), (5, 3), (7, 2), (7, 3), (11, 2), (5, 4)],
+)
+def test_dickson_matches_the_moore_quotient(p, n):
+    # the recurrence against the definition, c_{n,r} = D_r / L_n
+    ring = Ring(p, n)
+    for r in range(n):
+        expected = reference_moore_dickson(ring, r)
+        assert dickson(ring, r) == expected, (p, n, r)
+        assert str(dickson(ring, r)) == str(expected), (p, n, r)
+
+
+def test_dickson_never_divides(monkeypatch):
+    def refuse(self, f):
+        raise AssertionError("dickson divided")
+
+    monkeypatch.setattr(Element, "exact_divide", refuse)
+    invariants._dicksons.cache_clear()
+    for ring in (R33, Ring(5, 3), Ring(2, 4)):
+        for r in range(ring.n):
+            assert dickson(ring, r).total_degree() == dickson_degree(ring, r)
+
+
+def test_dickson_does_not_import_numpy_ma():
+    # the sums are one sort of packed terms: np.unique would import numpy.ma,
+    # about 9 ms of a cold process
+    root = Path(__file__).parents[1]
+    code = (
+        "import sys\n"
+        "from mui import Ring, dickson\n"
+        "[dickson(Ring(5, 3), r) for r in range(3)]\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert child.returncode == 0, child.stderr[-2000:]
+    assert child.stdout.split() == ["False"]
+
+
+def test_dickson_refuses_keys_past_int64():
+    # a term is key << s | coefficient, s the bit length of p - 1, with key
+    # sum_i m_i B^(i-1), B = p^n + 1: B^n << s must not pass 2^63.  (2,8),
+    # (3,7) and n = 1 past p = 2^31 are refused before any array is made;
+    # p = 2^31 - 1 at n = 1 fits, with 2^62
+    tracemalloc.start()
+    try:
+        for ring in (Ring(2, 8), Ring(3, 7), Ring(2**31 + 11, 1)):
+            with pytest.raises(ValueError, match="int64"):
+                dickson(ring, 0)
+        assert tracemalloc.get_traced_memory()[1] < 2**16
+    finally:
+        tracemalloc.stop()
+    edge = Ring(2**31 - 1, 1)
+    assert dickson(edge, 0) == edge.x(1) ** (edge.p - 1)
+
+
+def test_dickson_products_are_chunked():
+    # every c_{4,r} at (5,4) peaks near 10 MiB; one unchunked product, or the
+    # chunks held unsummed to the end, peak near 115 MiB
+    invariants._dicksons.cache_clear()
+    tracemalloc.start()
+    try:
+        [dickson(Ring(5, 4), r) for r in range(4)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, peak
